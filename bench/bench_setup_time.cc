@@ -20,10 +20,9 @@
  * path: the per-switch reference simulator against the bit-sliced
  * SetupEngine (scalar and SIMD kernel dispatch, plus Router::plan
  * end to end), and the batch sweep (1/8/64/256 at n = 12 and 14)
- * comparing the tiled-arena pipeline against flat setupMany, with
- * per-row working-set and arena accounting. Emits machine-readable
- * BENCH_setup.json; SRBENES_BENCH_SMOKE=1 runs the reduced CI
- * configuration.
+ * of the tiled-arena pipeline, with per-row working-set and arena
+ * accounting. Emits machine-readable BENCH_setup.json;
+ * SRBENES_BENCH_SMOKE=1 runs the reduced CI configuration.
  */
 
 #include <algorithm>
@@ -132,11 +131,9 @@ struct BatchRow
 {
     unsigned n;
     unsigned batch;
-    double perms_per_sec;        //!< tiled pipeline
-    double us_per_perm;          //!< tiled pipeline (the headline)
-    double legacy_us_per_perm;   //!< setupMany FastPlan path
-    std::size_t working_set_bytes;        //!< tiled plan bytes/rep
-    std::size_t legacy_working_set_bytes; //!< FastPlan bytes/rep
+    double perms_per_sec;          //!< tiled pipeline
+    double us_per_perm;            //!< tiled pipeline (the headline)
+    std::size_t working_set_bytes; //!< tiled plan bytes/rep
     std::size_t arena_resident_bytes;
     std::size_t arena_capacity_bytes;
     double arena_occupancy;
@@ -180,20 +177,15 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
                 benchmark::DoNotOptimize(res.success);
             },
             reps);
+        auto planPacked = [&] {
+            const FastPlan plan = eng.routePlan(next());
+            auto packed = setup.packedStates(plan);
+            benchmark::DoNotOptimize(packed.words.data());
+        };
         setSimdLevel(SimdLevel::Scalar);
-        const double scalar_us = timeUs(
-            [&] {
-                auto res = setup.setupPacked(next());
-                benchmark::DoNotOptimize(res.plan.success);
-            },
-            reps);
+        const double scalar_us = timeUs(planPacked, reps);
         setSimdLevel(detectSimdLevel());
-        const double simd_us = timeUs(
-            [&] {
-                auto res = setup.setupPacked(next());
-                benchmark::DoNotOptimize(res.plan.success);
-            },
-            reps);
+        const double simd_us = timeUs(planPacked, reps);
         const double router_us = timeUs(
             [&] {
                 auto plan = router.plan(next());
@@ -214,20 +206,18 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
     }
     table.print(std::cout);
     std::cout << "\n(every sample is a cold plan; 'speedup' is the "
-                 "reference simulator over the fused\n bit-sliced "
-                 "setupPacked — the acceptance floor at n = 12 is "
+                 "reference simulator over bit-sliced\n routePlan "
+                 "+ packedStates — the acceptance floor at n = 12 is "
                  "3x)\n\n";
 
-    std::cout << "=== E2b: batch setup, tiled arena pipeline vs "
-                 "flat setupMany (F members) ===\n\n";
+    std::cout << "=== E2b: batch setup, tiled arena pipeline "
+                 "(F members) ===\n\n";
     for (const unsigned n : {12u, 14u}) {
-        const Word N = Word{1} << n;
         const FastEngine eng(n);
         const SetupEngine setup(eng, nullptr);
         Prng prng(2015 + n);
-        TextTable btab({"n", "batch", "tiled us/perm",
-                        "flat us/perm", "tiled ws KiB",
-                        "flat ws KiB", "arena occ"});
+        TextTable btab({"n", "batch", "tiled us/perm", "tiled ws KiB",
+                        "arena occ"});
         for (unsigned B : {1u, 8u, 64u, 256u}) {
             std::vector<Permutation> batch;
             for (unsigned i = 0; i < B; ++i)
@@ -244,43 +234,25 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
             auto arena = std::make_shared<PlanArena>();
             {
                 auto warm = setup.setupTiled(
-                    batch, RoutingMode::SelfRouting, 1, arena);
+                    batch, RoutingMode::SelfRouting, arena);
                 benchmark::DoNotOptimize(warm.size());
             }
             const double tiled_us = timeUs(
                 [&] {
                     auto plans = setup.setupTiled(
-                        batch, RoutingMode::SelfRouting, 1, arena);
+                        batch, RoutingMode::SelfRouting, arena);
                     benchmark::DoNotOptimize(plans.size());
                 },
                 breps);
 
-            // The flat path this PR's tiling fixes: one full
-            // FastPlan (slot-order ctrl + dest/src tables) per perm.
-            {
-                auto warm = setup.setupMany(batch);
-                benchmark::DoNotOptimize(warm.size());
-            }
-            const double flat_us = timeUs(
-                [&] {
-                    auto plans = setup.setupMany(batch);
-                    benchmark::DoNotOptimize(plans.size());
-                },
-                breps);
-
-            // Working sets: bytes of plan state one rep writes.
+            // Working set: bytes of plan state one rep writes.
             const TiledPlans probe = setup.setupTiled(
-                batch, RoutingMode::SelfRouting, 1, arena);
+                batch, RoutingMode::SelfRouting, arena);
             const std::size_t tiled_ws = probe.planBytes();
             const PlanArenaStats astats = probe.arenaStats();
-            const std::size_t flat_ws =
-                std::size_t{B} *
-                ((Word{2 * n - 1} * eng.laneWords() + 2 * N) *
-                 sizeof(Word));
 
             const double tpps = B / (tiled_us * 1e-6);
-            batches.push_back({n, B, tpps, tiled_us / B,
-                               flat_us / B, tiled_ws, flat_ws,
+            batches.push_back({n, B, tpps, tiled_us / B, tiled_ws,
                                astats.resident_bytes,
                                astats.capacity_bytes,
                                astats.occupancy});
@@ -288,16 +260,14 @@ runBitslicedSetup(bool smoke, std::vector<SetupRow> &rows,
             btab.addCell(n);
             btab.addCell(B);
             btab.addCell(tiled_us / B, 1);
-            btab.addCell(flat_us / B, 1);
             btab.addCell(tiled_ws / 1024.0, 0);
-            btab.addCell(flat_ws / 1024.0, 0);
             btab.addCell(astats.occupancy, 2);
         }
         btab.print(std::cout);
         std::cout << "\n";
     }
-    std::cout << "(the tiled column is the fused-pipeline batch "
-                 "path; its us/perm must stay flat across batch\n"
+    std::cout << "(the tiled pipeline is the only batch setup path; "
+                 "its us/perm must stay flat across batch\n"
                  "sizes — the CI smoke gate asserts n = 12 "
                  "batch-64 <= 1.25x batch-8)\n\n";
 }
@@ -315,7 +285,7 @@ writeSetupJson(const std::vector<SetupRow> &rows,
     std::fprintf(jf,
                  "{\n  \"benchmark\": \"setup\",\n"
                  "  \"unit\": \"us_per_cold_plan\",\n"
-                 "  \"workload\": \"random F(n) members, fused plan "
+                 "  \"workload\": \"random F(n) members, routePlan "
                  "+ packed states, 32-perm cold pool\",\n"
                  "  \"simd\": \"%s\",\n  \"results\": [\n",
                  activeKernels().name);
@@ -342,15 +312,12 @@ writeSetupJson(const std::vector<SetupRow> &rows,
             "    {\"n\": %u, \"batch\": %u, "
             "\"perms_per_sec\": %.0f, "
             "\"us_per_perm\": %.1f, "
-            "\"legacy_us_per_perm\": %.1f, "
             "\"working_set_bytes\": %zu, "
-            "\"legacy_working_set_bytes\": %zu, "
             "\"arena_resident_bytes\": %zu, "
             "\"arena_capacity_bytes\": %zu, "
             "\"arena_occupancy\": %.2f}%s\n",
             b.n, b.batch, b.perms_per_sec, b.us_per_perm,
-            b.legacy_us_per_perm, b.working_set_bytes,
-            b.legacy_working_set_bytes, b.arena_resident_bytes,
+            b.working_set_bytes, b.arena_resident_bytes,
             b.arena_capacity_bytes, b.arena_occupancy,
             i + 1 < batches.size() ? "," : "");
     }

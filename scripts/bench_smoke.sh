@@ -7,32 +7,39 @@
 #
 #     scripts/bench_smoke.sh [build-dir]     # default: build
 #
-# JSON files land in the current directory; exits nonzero if a bench
-# fails or emits malformed JSON.
+# JSON files land in <build-dir>/bench-smoke/, never in the repo
+# root, so a local smoke run cannot overwrite the committed full-run
+# BENCH_*.json. Exits nonzero if a bench fails or emits malformed
+# JSON.
 set -uo pipefail
 
 build_dir="${1:-build}"
 cd "$(dirname "$0")/.."
+mkdir -p "${build_dir}/bench-smoke"
+bench_bin_dir="$(cd "${build_dir}" && pwd)/bench"
+out_dir="$(cd "${build_dir}/bench-smoke" && pwd)"
+rm -f "${out_dir}"/BENCH_*.json
 
 benches=(bench_fast_engine bench_setup_time bench_throughput bench_resilience bench_obs_overhead bench_service bench_packet)
 failed=0
 
 for bench in "${benches[@]}"; do
-    bin="${build_dir}/bench/${bench}"
+    bin="${bench_bin_dir}/${bench}"
     if [ ! -x "${bin}" ]; then
         echo "MISSING: ${bin} (build the '${build_dir%%-*}' preset first)"
         failed=1
         continue
     fi
     echo "== ${bench} (smoke) =="
-    if ! SRBENES_BENCH_SMOKE=1 "${bin}"; then
+    if ! (cd "${out_dir}" && SRBENES_BENCH_SMOKE=1 "${bin}"); then
         echo "FAILED: ${bench}"
         failed=1
     fi
 done
 
 echo
-echo "== validating BENCH_*.json =="
+echo "== validating ${out_dir}/BENCH_*.json =="
+cd "${out_dir}"
 shopt -s nullglob
 jsons=(BENCH_*.json)
 if [ ${#jsons[@]} -eq 0 ]; then

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "common/logging.hh"
 #include "core/fast_kernels.hh"
@@ -371,64 +370,18 @@ FastEngine::execute(const FastPlan &plan,
 
 std::vector<std::vector<Word>>
 FastEngine::executeMany(const FastPlan &plan,
-                        const std::vector<std::vector<Word>> &batch,
-                        unsigned num_threads) const
+                        const std::vector<std::vector<Word>> &batch) const
 {
     std::vector<std::vector<Word>> outs(batch.size());
     if (batch_vectors_)
         batch_vectors_->observe(batch.size());
-    if (num_threads <= 1 || batch.empty()) {
-        for (std::size_t v = 0; v < batch.size(); ++v) {
-            // Start the next payload's stream while this gather runs.
-            if (v + 1 < batch.size())
-                prefetchWords(batch[v + 1].data(), num_lines_);
-            executeInto(plan, batch[v], outs[v]);
-        }
-        return outs;
-    }
-
     for (std::size_t v = 0; v < batch.size(); ++v) {
-        if (batch[v].size() != num_lines_)
-            fatal("payload vector size %zu != N = %llu",
-                  batch[v].size(),
-                  static_cast<unsigned long long>(num_lines_));
-        outs[v].resize(num_lines_);
+        // Start the next payload's stream while this gather runs.
+        if (v + 1 < batch.size())
+            prefetchWords(batch[v + 1].data(), num_lines_);
+        executeInto(plan, batch[v], outs[v]);
     }
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const Word T = std::min<Word>(std::min(num_threads, hw), num_lines_);
-    const Word *src = plan.src.data();
-    const KernelTable &kern = activeKernels();
-    auto worker = [&](Word lo, Word hi) {
-        for (std::size_t v = 0; v < batch.size(); ++v) {
-            if (v + 1 < batch.size())
-                prefetchWords(batch[v + 1].data() + lo, hi - lo);
-            kern.gather(outs[v].data() + lo, batch[v].data(), src + lo,
-                        hi - lo);
-        }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(T);
-    const Word chunk = (num_lines_ + T - 1) / T;
-    for (Word t = 0; t < T; ++t) {
-        const Word lo = t * chunk;
-        const Word hi = std::min(num_lines_, lo + chunk);
-        if (lo >= hi)
-            break;
-        threads.emplace_back(worker, lo, hi);
-    }
-    for (auto &th : threads)
-        th.join();
-    if (executes_)
-        executes_->inc(batch.size());
     return outs;
-}
-
-std::vector<std::vector<Word>>
-FastEngine::routeBatch(const Permutation &d,
-                       const std::vector<std::vector<Word>> &batch,
-                       RoutingMode mode, unsigned num_threads) const
-{
-    return executeMany(routePlan(d, mode), batch, num_threads);
 }
 
 SwitchStates

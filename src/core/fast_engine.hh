@@ -42,8 +42,9 @@
  * The execution side is split from planning the way Router plans
  * are: routePlan() runs the fabric once bit-sliced and materializes
  * the realized lane mapping; executeMany() then applies one routed
- * configuration to B payload vectors as contiguous gathers,
- * optionally sharding lanes across std::thread workers for large N.
+ * configuration to B payload vectors as contiguous gathers on the
+ * calling thread, prefetching each next payload under the current
+ * gather.
  */
 
 #ifndef SRBENES_CORE_FAST_ENGINE_HH
@@ -152,22 +153,13 @@ class FastEngine
                      std::vector<Word> &out) const;
 
     /**
-     * Apply one routed configuration to B payload vectors. With
-     * @p num_threads > 1 the N output lanes are sharded across
-     * std::thread workers (worth it for large N * B only; callers
-     * pick the threshold).
+     * Apply one routed configuration to B payload vectors, one
+     * gather per vector on the calling thread; the next payload is
+     * prefetched while the current one is gathered.
      */
     std::vector<std::vector<Word>>
     executeMany(const FastPlan &plan,
-                const std::vector<std::vector<Word>> &batch,
-                unsigned num_threads = 1) const;
-
-    /** Plan once, then executeMany: route + batched transport. */
-    std::vector<std::vector<Word>>
-    routeBatch(const Permutation &d,
-               const std::vector<std::vector<Word>> &batch,
-               RoutingMode mode = RoutingMode::SelfRouting,
-               unsigned num_threads = 1) const;
+                const std::vector<std::vector<Word>> &batch) const;
 
     /** Physical-order switch states of a routed plan. */
     SwitchStates planStates(const FastPlan &plan) const;

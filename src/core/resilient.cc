@@ -43,8 +43,8 @@ switchHealthName(SwitchHealth h) noexcept
 
 ResilientRouter::ResilientRouter(unsigned n, ResilientOptions opts)
     : opts_(opts),
-      router_(n, opts.prefer_waksman, opts.plan_cache_capacity,
-              opts.cache_shards, opts.metrics),
+      router_(n, false, opts.plan_cache_capacity, opts.cache_shards,
+              opts.metrics),
       metrics_(opts.metrics)
 {
     const BenesTopology &topo = fabric().topology();
@@ -299,23 +299,8 @@ ResilientRouter::tryPrimary(const Permutation &d,
                                first.takeValue(),
                                RoutingMode::OmegaBit);
       }
-      case RouteStrategy::Waksman: {
-        const RouteResult res = routeWithFaultsStates(
-            fabric(), d, hw, *plan->states);
-        if (!res.success) {
-            RouteError err;
-            err.code = RouteErrc::FaultDetected;
-            err.tier = ServeTier::Primary;
-            err.detail =
-                std::to_string(res.misrouted_outputs.size()) +
-                " outputs received a wrong tag";
-            return RouteOutcome::failure(std::move(err));
-        }
-        std::vector<Word> out(data.size());
-        for (Word i = 0; i < data.size(); ++i)
-            out[res.realized_dest[i]] = data[i];
-        return RouteOutcome::success(std::move(out));
-      }
+      case RouteStrategy::Waksman:
+        break; // the inner Router is built without prefer_waksman
     }
     panic("unreachable routing strategy");
 }

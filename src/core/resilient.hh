@@ -101,7 +101,6 @@ struct ResilientOptions
      *  suspect set than attempt k). */
     unsigned max_retries = 1;
     /** Forwarded to the inner planning Router. */
-    bool prefer_waksman = false;
     std::size_t plan_cache_capacity = 64;
     unsigned cache_shards = 8;
     /** Degraded-plan cache entries (verified Reroute states /

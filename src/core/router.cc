@@ -361,45 +361,31 @@ Router::planCached(const Permutation &d) const
     return planned;
 }
 
+namespace
+{
+
+/**
+ * The verified lane mapping every plan built by Router carries
+ * (planImpl panics before returning a plan without one). A
+ * hand-assembled plan that lacks it is a caller error.
+ */
+const FastPlan &
+verifiedMapping(const RoutePlan &plan)
+{
+    if (!plan.fast || !plan.fast->success)
+        fatal("%s plan carries no verified lane mapping; build plans "
+              "with Router::plan",
+              routeStrategyName(plan.strategy));
+    return *plan.fast;
+}
+
+} // namespace
+
 std::vector<Word>
 Router::execute(const RoutePlan &plan,
                 const std::vector<Word> &data) const
 {
-    if (plan.fast && plan.fast->success)
-        return engine_.execute(*plan.fast, data);
-
-    switch (plan.strategy) {
-      case RouteStrategy::SelfRouting: {
-        const auto out = net_.permutePayloads(plan.perm, data);
-        if (!out)
-            panic("self-routing plan failed for a planned F member");
-        return *out;
-      }
-      case RouteStrategy::OmegaBit: {
-        const auto out = net_.permutePayloads(plan.perm, data,
-                                              RoutingMode::OmegaBit);
-        if (!out)
-            panic("omega-bit plan failed for a planned Omega "
-                  "member");
-        return *out;
-      }
-      case RouteStrategy::TwoPass:
-        if (!plan.two_pass)
-            panic("two-pass plan is missing its factorization");
-        return twoPassPermute(net_, *plan.two_pass, data);
-      case RouteStrategy::Waksman: {
-        if (!plan.states)
-            panic("waksman plan is missing its switch states");
-        const auto res = net_.routeWithStates(plan.perm, *plan.states);
-        if (!res.success)
-            panic("waksman plan failed to realize its permutation");
-        std::vector<Word> out(data.size());
-        for (std::size_t i = 0; i < data.size(); ++i)
-            out[res.realized_dest[i]] = data[i];
-        return out;
-      }
-    }
-    panic("unreachable routing strategy");
+    return engine_.execute(verifiedMapping(plan), data);
 }
 
 void
@@ -407,24 +393,14 @@ Router::executeInto(const RoutePlan &plan,
                     const std::vector<Word> &data,
                     std::vector<Word> &out) const
 {
-    if (plan.fast && plan.fast->success) {
-        engine_.executeInto(*plan.fast, data, out);
-        return;
-    }
-    out = execute(plan, data);
+    engine_.executeInto(verifiedMapping(plan), data, out);
 }
 
 std::vector<std::vector<Word>>
 Router::executeMany(const RoutePlan &plan,
-                    const std::vector<std::vector<Word>> &batch,
-                    unsigned num_threads) const
+                    const std::vector<std::vector<Word>> &batch) const
 {
-    if (plan.fast && plan.fast->success)
-        return engine_.executeMany(*plan.fast, batch, num_threads);
-    std::vector<std::vector<Word>> outs(batch.size());
-    for (std::size_t v = 0; v < batch.size(); ++v)
-        outs[v] = execute(plan, batch[v]);
-    return outs;
+    return engine_.executeMany(verifiedMapping(plan), batch);
 }
 
 RouteOutcome
@@ -437,19 +413,11 @@ Router::routeOutcome(const Permutation &d,
     return RouteOutcome::success(execute(*planCached(d), data));
 }
 
-std::vector<Word>
-Router::route(const Permutation &d,
-              const std::vector<Word> &data) const
-{
-    return execute(*planCached(d), data);
-}
-
 std::vector<std::vector<Word>>
 Router::routeBatch(const Permutation &d,
-                   const std::vector<std::vector<Word>> &batch,
-                   unsigned num_threads) const
+                   const std::vector<std::vector<Word>> &batch) const
 {
-    return executeMany(*planCached(d), batch, num_threads);
+    return executeMany(*planCached(d), batch);
 }
 
 std::vector<CacheShardStats>

@@ -26,7 +26,7 @@
  *    execute() is a single contiguous gather — no fabric
  *    re-simulation, no allocation beyond the result (and none at
  *    all via executeInto);
- *  - route() consults a sharded, read-mostly plan cache keyed by a
+ *  - planCached() consults a sharded, read-mostly plan cache keyed by a
  *    permutation hash, so a recurring pattern skips classification
  *    and planning entirely after its first appearance, and
  *    concurrent readers on different shards never serialize.
@@ -82,8 +82,8 @@ struct RoutePlan
      * Realized lane mapping, verified through the FastEngine at
      * planning time (for TwoPass, the composition of both passes; its
      * ctrl masks are then empty). Plans built by Router always carry
-     * it; a hand-assembled plan without it falls back to the
-     * reference fabric simulation in execute().
+     * it, with success set; execute() fatal()s on a plan without
+     * one.
      *
      * Plans resident in the Router's cache are COMPACTED: the flat
      * ctrl masks and the dest table (derivable from perm on a
@@ -175,26 +175,26 @@ class Router
      */
     static std::uint64_t hashPermutation(const Permutation &d);
 
-    /** Move a data vector along a previously computed plan. */
+    /**
+     * Move a data vector along a previously computed plan: one
+     * gather through its verified fast mapping. fatal()s on a plan
+     * without a successful fast mapping (never one from plan()).
+     */
     std::vector<Word> execute(const RoutePlan &plan,
                               const std::vector<Word> &data) const;
 
     /**
-     * Allocation-free execute for plans carrying a fast mapping:
-     * gathers into @p out, reusing its capacity.
+     * Allocation-free execute: gathers into @p out, reusing its
+     * capacity. Same plan requirement as execute().
      */
     void executeInto(const RoutePlan &plan,
                      const std::vector<Word> &data,
                      std::vector<Word> &out) const;
 
-    /**
-     * Apply one plan to B payload vectors; lanes are sharded across
-     * @p num_threads std::thread workers when > 1.
-     */
+    /** Apply one plan to B payload vectors on the calling thread. */
     std::vector<std::vector<Word>>
     executeMany(const RoutePlan &plan,
-                const std::vector<std::vector<Word>> &batch,
-                unsigned num_threads = 1) const;
+                const std::vector<std::vector<Word>> &batch) const;
 
     /**
      * Convenience: cached plan + execute in one call, answering in
@@ -206,21 +206,10 @@ class Router
     RouteOutcome routeOutcome(const Permutation &d,
                               const std::vector<Word> &data) const;
 
-    /**
-     * Cached plan + execute in one call.
-     * @deprecated Superseded by routeOutcome(); kept as a thin shim
-     * for source compatibility. The warning fires only under
-     * -DSRBENES_STRICT_DEPRECATION so in-tree builds stay clean.
-     */
-    SRB_DEPRECATED_API("use Router::routeOutcome()")
-    std::vector<Word> route(const Permutation &d,
-                            const std::vector<Word> &data) const;
-
     /** Cached plan + executeMany in one call. */
     std::vector<std::vector<Word>>
     routeBatch(const Permutation &d,
-               const std::vector<std::vector<Word>> &batch,
-               unsigned num_threads = 1) const;
+               const std::vector<std::vector<Word>> &batch) const;
 
     /** @{ Plan-cache introspection (for tests and telemetry). */
     std::size_t planCacheSize() const;

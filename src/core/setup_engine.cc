@@ -3,7 +3,6 @@
 #include "core/setup_engine.hh"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "common/bitops.hh"
@@ -219,65 +218,6 @@ SetupEngine::packedStates(const FastPlan &plan) const
     return packed;
 }
 
-SetupResult
-SetupEngine::setupPacked(const Permutation &d, RoutingMode mode) const
-{
-    SetupResult res;
-    res.plan = plan(d, mode);
-    res.packed = packedStates(res.plan);
-    return res;
-}
-
-std::vector<FastPlan>
-SetupEngine::setupMany(const std::vector<Permutation> &batch,
-                       RoutingMode mode, unsigned num_threads) const
-{
-    std::vector<FastPlan> out(batch.size());
-    if (batch_perms_)
-        batch_perms_->observe(batch.size());
-    if (plans_)
-        plans_->inc(batch.size());
-
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const unsigned T = static_cast<unsigned>(std::min<std::size_t>(
-        std::min(num_threads, hw), batch.size()));
-    if (T <= 1) {
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            out[i] = eng_.routePlan(batch[i], mode);
-        return out;
-    }
-
-    // Validate on the calling thread so shape errors fatal() here,
-    // not inside a worker.
-    for (const Permutation &d : batch)
-        if (d.size() != eng_.numLines())
-            fatal("permutation size %zu does not match network "
-                  "N = %llu",
-                  d.size(),
-                  static_cast<unsigned long long>(eng_.numLines()));
-
-#if defined(_OPENMP)
-    #pragma omp parallel for num_threads(static_cast<int>(T)) \
-        schedule(dynamic)
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        out[i] = eng_.routePlan(batch[i], mode);
-#else
-    // Strided sharding in the executeMany / routeBatch spirit:
-    // worker t plans items t, t + T, t + 2T, ...
-    std::vector<std::thread> threads;
-    threads.reserve(T);
-    for (unsigned t = 0; t < T; ++t)
-        threads.emplace_back([&, t] {
-            for (std::size_t i = t; i < batch.size(); i += T)
-                out[i] = eng_.routePlan(batch[i], mode);
-        });
-    for (auto &th : threads)
-        th.join();
-#endif
-    return out;
-}
-
 Word
 SetupEngine::tileCapacity(const PlanArena &arena) const
 {
@@ -338,7 +278,7 @@ SetupEngine::setupPlanRows(const Permutation &d, RoutingMode mode,
 
 TiledPlans
 SetupEngine::setupTiled(const std::vector<Permutation> &batch,
-                        RoutingMode mode, unsigned num_threads,
+                        RoutingMode mode,
                         std::shared_ptr<PlanArena> arena) const
 {
     for (const Permutation &d : batch)
@@ -357,51 +297,32 @@ SetupEngine::setupTiled(const std::vector<Permutation> &batch,
         batch_perms_->observe(batch.size());
 
     const Word cap = out.tile_cap_;
-    const std::size_t tiles = out.tile_base_.size();
     const Word row_stride = cap * packed_words_;
-    auto runTiles = [&](std::size_t t0, std::size_t step) {
-        std::vector<Word> planes;
-        std::vector<Word> ctrl;
-        for (std::size_t t = t0; t < tiles; t += step) {
-            Word *base = out.tile_base_[t];
-            const std::size_t lo = t * cap;
-            const std::size_t hi = std::min(batch.size(), lo + cap);
-            for (std::size_t i = lo; i < hi; ++i) {
-                // One-plan prefetch lead on the tag stream.
-                if (i + 1 < hi)
-                    prefetchWords(batch[i + 1].dest().data(),
-                                  eng_.numLines());
-                bool ok = false;
-                setupPlanRows(batch[i], mode, planes, ctrl,
-                              base + (i - lo) * packed_words_,
-                              row_stride, ok);
-                out.success_[i] = ok ? 1 : 0;
-            }
+    std::vector<Word> planes;
+    std::vector<Word> ctrl;
+    for (std::size_t t = 0; t < out.tile_base_.size(); ++t) {
+        Word *base = out.tile_base_[t];
+        const std::size_t lo = t * cap;
+        const std::size_t hi = std::min(batch.size(), lo + cap);
+        for (std::size_t i = lo; i < hi; ++i) {
+            // One-plan prefetch lead on the tag stream.
+            if (i + 1 < hi)
+                prefetchWords(batch[i + 1].dest().data(),
+                              eng_.numLines());
+            bool ok = false;
+            setupPlanRows(batch[i], mode, planes, ctrl,
+                          base + (i - lo) * packed_words_, row_stride,
+                          ok);
+            out.success_[i] = ok ? 1 : 0;
         }
-    };
-
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const unsigned T = static_cast<unsigned>(std::min<std::size_t>(
-        std::min(num_threads, hw), tiles));
-    if (T <= 1) {
-        runTiles(0, 1);
-        return out;
     }
-    std::vector<std::thread> threads;
-    threads.reserve(T);
-    for (unsigned t = 0; t < T; ++t)
-        threads.emplace_back(runTiles, t, T);
-    for (auto &th : threads)
-        th.join();
     return out;
 }
 
 std::vector<std::vector<Word>>
 SetupEngine::setupExecuteMany(const std::vector<Permutation> &batch,
                               const std::vector<std::vector<Word>> &payloads,
-                              RoutingMode mode, unsigned num_threads,
-                              TiledPlans *plans_out,
+                              RoutingMode mode, TiledPlans *plans_out,
                               std::shared_ptr<PlanArena> arena) const
 {
     const Word N = eng_.numLines();
@@ -431,68 +352,50 @@ SetupEngine::setupExecuteMany(const std::vector<Permutation> &batch,
         batch_perms_->observe(batch.size());
 
     const Word cap = plans.tile_cap_;
-    const std::size_t tiles = plans.tile_base_.size();
     const Word row_stride = cap * packed_words_;
     const KernelTable &kern = activeKernels();
-    auto runTiles = [&](std::size_t t0, std::size_t step) {
-        std::vector<Word> planes;
-        std::vector<Word> ctrl;
-        std::vector<Word> src;
-        // Realized gather tables of the (rare) misrouting plans,
-        // captured while their final tag planes are still in scratch.
-        std::unordered_map<std::size_t, std::vector<Word>> miss_src;
-        for (std::size_t t = t0; t < tiles; t += step) {
-            Word *base = plans.tile_base_[t];
-            const std::size_t lo = t * cap;
-            const std::size_t hi = std::min(batch.size(), lo + cap);
+    std::vector<Word> planes;
+    std::vector<Word> ctrl;
+    std::vector<Word> src;
+    // Realized gather tables of the (rare) misrouting plans, captured
+    // while their final tag planes are still in scratch.
+    std::unordered_map<std::size_t, std::vector<Word>> miss_src;
+    for (std::size_t t = 0; t < plans.tile_base_.size(); ++t) {
+        Word *base = plans.tile_base_[t];
+        const std::size_t lo = t * cap;
+        const std::size_t hi = std::min(batch.size(), lo + cap);
 
-            // Setup half of the tile.
-            for (std::size_t i = lo; i < hi; ++i) {
-                if (i + 1 < hi)
-                    prefetchWords(batch[i + 1].dest().data(), N);
-                bool ok = false;
-                setupPlanRows(batch[i], mode, planes, ctrl,
-                              base + (i - lo) * packed_words_,
-                              row_stride, ok);
-                plans.success_[i] = ok ? 1 : 0;
-                if (!ok)
-                    eng_.srcFromPlanes(batch[i], planes, miss_src[i]);
-            }
-
-            // Transport half: the tile's permutations are still
-            // resident, so a success plan's gather table is just the
-            // inverse of its permutation — no plan bytes re-read, no
-            // dest/src ever stored. Prefetch leads one payload.
-            for (std::size_t i = lo; i < hi; ++i) {
-                if (i + 1 < batch.size())
-                    prefetchWords(payloads[i + 1].data(), N);
-                const Word *sp;
-                if (plans.success_[i]) {
-                    eng_.inverseInto(batch[i], src);
-                    sp = src.data();
-                } else {
-                    sp = miss_src[i].data();
-                }
-                outs[i].resize(N);
-                kern.gather(outs[i].data(), payloads[i].data(), sp, N);
-            }
-            miss_src.clear();
+        // Setup half of the tile.
+        for (std::size_t i = lo; i < hi; ++i) {
+            if (i + 1 < hi)
+                prefetchWords(batch[i + 1].dest().data(), N);
+            bool ok = false;
+            setupPlanRows(batch[i], mode, planes, ctrl,
+                          base + (i - lo) * packed_words_, row_stride,
+                          ok);
+            plans.success_[i] = ok ? 1 : 0;
+            if (!ok)
+                eng_.srcFromPlanes(batch[i], planes, miss_src[i]);
         }
-    };
 
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const unsigned T = static_cast<unsigned>(std::min<std::size_t>(
-        std::min(num_threads, hw), tiles));
-    if (T <= 1) {
-        runTiles(0, 1);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(T);
-        for (unsigned t = 0; t < T; ++t)
-            threads.emplace_back(runTiles, t, T);
-        for (auto &th : threads)
-            th.join();
+        // Transport half: the tile's permutations are still resident,
+        // so a success plan's gather table is just the inverse of its
+        // permutation — no plan bytes re-read, no dest/src ever
+        // stored. Prefetch leads one payload.
+        for (std::size_t i = lo; i < hi; ++i) {
+            if (i + 1 < batch.size())
+                prefetchWords(payloads[i + 1].data(), N);
+            const Word *sp;
+            if (plans.success_[i]) {
+                eng_.inverseInto(batch[i], src);
+                sp = src.data();
+            } else {
+                sp = miss_src[i].data();
+            }
+            outs[i].resize(N);
+            kern.gather(outs[i].data(), payloads[i].data(), sp, N);
+        }
+        miss_src.clear();
     }
     if (eng_.executes_)
         eng_.executes_->inc(batch.size());

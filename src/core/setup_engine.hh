@@ -29,24 +29,20 @@
  * Both steps touch O(S / 64) words per stage — no per-switch loop
  * ever runs (enforced by srb-lint rule SRB008 on the .cc file).
  *
- * setupMany() amortizes dispatch over a batch of B independent
- * permutations, sharding the batch across worker threads in the
- * same spirit as FastEngine::executeMany (OpenMP when compiled in,
- * std::thread otherwise).
- *
- * setupTiled() / setupExecuteMany() are the cache-conscious batch
- * path. setupMany materializes a full FastPlan per permutation —
- * slot-order control masks plus dest/src gather tables, ~76 KiB at
- * n = 12 — so a 64-plan batch writes ~5 MiB and falls out of L2
- * (BENCH_setup.json's batch cliff). The tiled path writes each plan
- * once, already in its succinct switch-packed form ((2n-1) * N/2
- * bits, within a word-rounding of Waksman's N lg N - N + 1 bound),
- * stage-major inside cache-budget-sized PlanArena tiles, and never
- * allocates per plan. The fused variant then routes one payload per
- * permutation tile-by-tile — a tile's plans are set up, then its
+ * setupTiled() / setupExecuteMany() are the batch path, and the
+ * only one. A full FastPlan per permutation — slot-order control
+ * masks plus dest/src gather tables, ~76 KiB at n = 12 — would make
+ * a 64-plan batch write ~5 MiB and fall out of L2. The tiled path
+ * instead writes each plan once, already in its succinct
+ * switch-packed form ((2n-1) * N/2 bits, within a word-rounding of
+ * Waksman's N lg N - N + 1 bound), stage-major inside
+ * cache-budget-sized PlanArena tiles, and never allocates per plan.
+ * The fused variant then routes one payload per permutation
+ * tile-by-tile — a tile's plans are set up, then its
  * payloads are transported while the tile's working set is still
  * resident, with the next tile's permutation/payload streams
- * prefetched under the current tile's compute.
+ * prefetched under the current tile's compute. Both run on the
+ * calling thread.
  */
 
 #ifndef SRBENES_CORE_SETUP_ENGINE_HH
@@ -62,13 +58,6 @@
 
 namespace srbenes
 {
-
-/** A cold plan together with its packed physical switch settings. */
-struct SetupResult
-{
-    FastPlan plan;
-    PackedStates packed;
-};
 
 class SetupEngine
 {
@@ -100,22 +89,6 @@ class SetupEngine
      */
     PackedStates packedStates(const FastPlan &plan) const;
 
-    /** Fused cold plan + packed-state production. */
-    SetupResult setupPacked(const Permutation &d,
-                            RoutingMode mode =
-                                RoutingMode::SelfRouting) const;
-
-    /**
-     * Plan a batch of independent permutations. With
-     * @p num_threads > 1 the batch is sharded across workers
-     * (OpenMP when available, std::thread otherwise); results are
-     * returned in input order either way.
-     */
-    std::vector<FastPlan>
-    setupMany(const std::vector<Permutation> &batch,
-              RoutingMode mode = RoutingMode::SelfRouting,
-              unsigned num_threads = 1) const;
-
     /**
      * Plan a batch straight into arena-resident succinct form: one
      * switch-packed row per stage, stage-major inside tiles of
@@ -123,15 +96,13 @@ class SetupEngine
      * and no per-plan heap allocation is ever materialized; each
      * plan's packed bits are produced word-parallel as the planes
      * pass each stage. success(i) records whether permutation i
-     * self-routed exactly. With @p num_threads > 1, workers each own
-     * whole tiles (a resident tile per shard). Results are
-     * bit-for-bit identical to packedStates(setupMany(...)[i]),
-     * which the differential tests assert.
+     * self-routed exactly. Results are bit-for-bit identical to
+     * packedStates(plan(batch[i], mode)), which the differential
+     * tests assert.
      */
     TiledPlans
     setupTiled(const std::vector<Permutation> &batch,
                RoutingMode mode = RoutingMode::SelfRouting,
-               unsigned num_threads = 1,
                std::shared_ptr<PlanArena> arena = nullptr) const;
 
     /**
@@ -140,15 +111,14 @@ class SetupEngine
      * tiles — a tile's plans are set up, then its payloads
      * transported while the tile is resident, with the next tile's
      * permutation and payload streams prefetched under the current
-     * tile's compute. Outputs are bit-for-bit what
-     * executeMany-after-setupMany produces. @p plans_out (optional)
+     * tile's compute. Outputs are bit-for-bit what executeInto over
+     * plan(batch[i], mode) produces. @p plans_out (optional)
      * receives the batch's TiledPlans for reuse/inspection.
      */
     std::vector<std::vector<Word>>
     setupExecuteMany(const std::vector<Permutation> &batch,
                      const std::vector<std::vector<Word>> &payloads,
                      RoutingMode mode = RoutingMode::SelfRouting,
-                     unsigned num_threads = 1,
                      TiledPlans *plans_out = nullptr,
                      std::shared_ptr<PlanArena> arena = nullptr) const;
 

@@ -97,10 +97,8 @@ StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
     : owned_router_(opts.resilient
                         ? nullptr
                         : std::make_unique<Router>(
-                              n, opts.prefer_waksman,
-                              opts.shared_cache_capacity,
-                              opts.shared_cache_shards, opts.metrics,
-                              opts.shared_cache_bytes)),
+                              n, false, opts.shared_cache_capacity,
+                              opts.shared_cache_shards, opts.metrics)),
       router_(opts.resilient ? opts.resilient->router()
                              : *owned_router_),
       resilient_(opts.resilient), opts_(opts)

@@ -419,10 +419,6 @@ struct StreamOptions
     /** Shared Router tier capacity / shards. */
     std::size_t shared_cache_capacity = 512;
     unsigned shared_cache_shards = 8;
-    /** Shared-tier resident-byte budget (Router plan_cache_bytes);
-     *  0 keeps the entry-count capacity as the only limit. */
-    std::size_t shared_cache_bytes = 0;
-    bool prefer_waksman = false;
     /**
      * Confirm local-tier hits with a full permutation comparison
      * (the shared Router tier always confirms). Off trusts the

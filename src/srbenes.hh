@@ -24,6 +24,14 @@
  *                 matrices, and the deprecated PacketBenes shim;
  *   - obs/        metrics registry, exporters, tracing.
  *
+ *  Batches in core/ (Router::executeMany / routeBatch,
+ *  SetupEngine::setupTiled / setupExecuteMany) run on the calling
+ *  thread and take no thread count; concurrency is the
+ *  StreamEngine's. Surface no caller used (thread counts, setupMany,
+ *  setupPacked, unset option fields) went without a shim;
+ *  Router::route finished its deprecation cycle: use
+ *  Router::routeOutcome.
+ *
  *  INTERNAL -- reachable but NOT part of the stable surface; shapes
  *  may change without deprecation: core/fast_engine.hh and
  *  core/fast_kernels.hh (bit-sliced engine internals),

@@ -214,7 +214,7 @@ TEST(FastEngine, ExecuteMatchesPermutationApply)
     }
 }
 
-TEST(FastEngine, RouteBatchSerialAndThreaded)
+TEST(FastEngine, ExecuteManyMatchesPermutationApply)
 {
     Prng prng(29);
     const unsigned n = 8;
@@ -229,14 +229,11 @@ TEST(FastEngine, RouteBatchSerialAndThreaded)
             batch[v][i] = v * 10000 + i;
     }
 
-    const auto serial = eng.routeBatch(d, batch);
-    const auto threaded =
-        eng.routeBatch(d, batch, RoutingMode::SelfRouting, 4);
-    ASSERT_EQ(serial.size(), batch.size());
-    for (std::size_t v = 0; v < batch.size(); ++v) {
-        EXPECT_EQ(serial[v], d.applyTo(batch[v]));
-        EXPECT_EQ(threaded[v], serial[v]);
-    }
+    const auto outs = eng.executeMany(eng.routePlan(d), batch);
+    ASSERT_EQ(outs.size(), batch.size());
+    for (std::size_t v = 0; v < batch.size(); ++v)
+        EXPECT_EQ(outs[v], d.applyTo(batch[v]));
+    EXPECT_TRUE(eng.executeMany(eng.routePlan(d), {}).empty());
 }
 
 TEST(FastEngine, RouteIntoReusesResultBuffers)
@@ -265,17 +262,17 @@ TEST(RouterCache, HitsAndMisses)
     const auto d2 = Permutation::random(size, prng);
 
     EXPECT_EQ(router.planCacheSize(), 0u);
-    const auto out1 = router.route(d1, data);
+    const auto out1 = router.routeOutcome(d1, data).value();
     EXPECT_EQ(router.planCacheMisses(), 1u);
     EXPECT_EQ(router.planCacheHits(), 0u);
 
-    const auto out1b = router.route(d1, data);
+    const auto out1b = router.routeOutcome(d1, data).value();
     EXPECT_EQ(router.planCacheMisses(), 1u);
     EXPECT_EQ(router.planCacheHits(), 1u);
     EXPECT_EQ(out1, out1b);
     EXPECT_EQ(out1, d1.applyTo(data));
 
-    const auto out2 = router.route(d2, data);
+    const auto out2 = router.routeOutcome(d2, data).value();
     EXPECT_EQ(router.planCacheMisses(), 2u);
     EXPECT_EQ(router.planCacheSize(), 2u);
     EXPECT_EQ(out2, d2.applyTo(data));
@@ -302,15 +299,15 @@ TEST(RouterCache, LruEviction)
     const auto b = Permutation::random(size, prng);
     const auto c = Permutation::random(size, prng);
 
-    router.route(a, data); // cache: a
-    router.route(b, data); // cache: b a
-    router.route(a, data); // hit -> a b
+    router.routeOutcome(a, data); // cache: a
+    router.routeOutcome(b, data); // cache: b a
+    router.routeOutcome(a, data); // hit -> a b
     EXPECT_EQ(router.planCacheHits(), 1u);
-    router.route(c, data); // evicts b -> c a
+    router.routeOutcome(c, data); // evicts b -> c a
     EXPECT_EQ(router.planCacheSize(), 2u);
-    router.route(a, data); // still cached
+    router.routeOutcome(a, data); // still cached
     EXPECT_EQ(router.planCacheHits(), 2u);
-    router.route(b, data); // evicted: a miss again
+    router.routeOutcome(b, data); // evicted: a miss again
     EXPECT_EQ(router.planCacheMisses(), 4u);
 }
 
@@ -322,8 +319,8 @@ TEST(RouterCache, ZeroCapacityDisablesCaching)
     std::vector<Word> data(size);
     std::iota(data.begin(), data.end(), Word{0});
     const auto d = Permutation::random(size, prng);
-    router.route(d, data);
-    router.route(d, data);
+    router.routeOutcome(d, data);
+    router.routeOutcome(d, data);
     EXPECT_EQ(router.planCacheSize(), 0u);
     EXPECT_EQ(router.planCacheHits(), 0u);
 }
@@ -355,7 +352,7 @@ TEST(Router, FastPathDeliversUnderEveryStrategy)
             EXPECT_EQ(out, d.applyTo(data));
 
             const std::vector<std::vector<Word>> batch{data, data};
-            for (const auto &o : router.executeMany(plan, batch, 2))
+            for (const auto &o : router.executeMany(plan, batch))
                 EXPECT_EQ(o, d.applyTo(data));
         }
     }
@@ -379,7 +376,7 @@ TEST(Router, RouteBatchMatchesPerVectorRoute)
         EXPECT_EQ(outs[v], d.applyTo(batch[v]));
 
     // A second batch with the same pattern hits the plan cache.
-    const auto again = router.routeBatch(d, batch, 2);
+    const auto again = router.routeBatch(d, batch);
     EXPECT_EQ(again, outs);
     EXPECT_EQ(router.planCacheHits(), 1u);
 }

@@ -141,8 +141,7 @@ tinyTiledBatch(const SetupEngine &setup, unsigned n,
     std::vector<Permutation> batch;
     for (std::size_t i = 0; i < count; ++i)
         batch.push_back(randomFMember(n, prng));
-    return setup.setupTiled(batch, RoutingMode::SelfRouting, 1,
-                            arena);
+    return setup.setupTiled(batch, RoutingMode::SelfRouting, arena);
 }
 
 TEST(TiledPlans, DestructionReturnsBlocksToTheArena)

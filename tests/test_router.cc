@@ -93,7 +93,7 @@ TEST(Router, DeliversUnderEveryStrategy)
             Permutation::random(32, prng),
         };
         for (const auto &d : mix) {
-            const auto out = router.route(d, data);
+            const auto out = router.routeOutcome(d, data).value();
             for (Word i = 0; i < 32; ++i)
                 ASSERT_EQ(out[d[i]], data[i])
                     << d.toString() << " waksman="
@@ -135,6 +135,30 @@ TEST(Router, SizeMismatchDies)
     const Router router(3);
     EXPECT_DEATH(router.plan(Permutation::identity(4)),
                  "does not match");
+}
+
+TEST(Router, ExecuteDiesOnAPlanWithoutAVerifiedMapping)
+{
+    // Router::plan gives every plan a verified fast mapping; a plan
+    // without one is refused, never re-simulated on the fabric.
+    const Router router(3);
+    const auto d = Permutation::identity(8);
+    const auto data = iotaData(8);
+    std::vector<Word> out;
+
+    RoutePlan bare = router.plan(d);
+    bare.fast.reset();
+    EXPECT_DEATH(router.execute(bare, data), "no verified lane mapping");
+    EXPECT_DEATH(router.executeInto(bare, data, out),
+                 "no verified lane mapping");
+
+    RoutePlan unverified = router.plan(d);
+    auto fast = std::make_shared<FastPlan>(*unverified.fast);
+    fast->success = false;
+    unverified.fast = std::move(fast);
+    EXPECT_DEATH(router.execute(unverified, data), "no verified lane mapping");
+    EXPECT_DEATH(router.executeInto(unverified, data, out),
+                 "no verified lane mapping");
 }
 
 TEST(Router, CachedPlansAreCompacted)

@@ -6,8 +6,9 @@
  * exhaustively at n <= 3, randomized at n = 4..12 including non-F
  * permutations rejected identically, across every supported SIMD
  * level and under the SRBENES_DISABLE_SIMD escape hatch. Also covers
- * the batch API (threaded and serial shard paths agree with per-item
- * planning) and construction at larger n.
+ * the tiled and fused batch paths (bit-for-bit equal to per-item
+ * routePlan + packedStates / executeInto) and construction at larger
+ * n.
  */
 
 #include <algorithm>
@@ -78,10 +79,6 @@ expectPackedParity(const FastEngine &eng, const SetupEngine &setup,
         << what;
     EXPECT_EQ(sliced.words, scalar_ref.words)
         << what << " n=" << eng.n();
-
-    const SetupResult fused = setup.setupPacked(d, mode);
-    EXPECT_EQ(fused.plan.success, plan.success) << what;
-    EXPECT_EQ(fused.packed.words, scalar_ref.words) << what;
 }
 
 TEST(SetupEngine, ExhaustivePackedParityAtSmallN)
@@ -177,62 +174,33 @@ TEST(SetupEngine, DisableSimdEnvKeepsParity)
     ASSERT_EQ(unsetenv("SRBENES_DISABLE_SIMD"), 0);
 }
 
-TEST(SetupEngine, SetupManyMatchesPerItemPlansInOrder)
-{
-    Prng prng(94);
-    const unsigned n = 7;
-    const Word N = Word{1} << n;
-    const FastEngine eng(n);
-    const SetupEngine setup(eng);
-
-    std::vector<Permutation> batch;
-    for (int i = 0; i < 17; ++i) // odd size: uneven worker shards
-        batch.push_back(i % 5 == 4 ? Permutation::random(N, prng)
-                                   : randomFMember(n, prng));
-
-    for (unsigned threads : {1u, 4u}) {
-        const std::vector<FastPlan> plans =
-            setup.setupMany(batch, RoutingMode::SelfRouting, threads);
-        ASSERT_EQ(plans.size(), batch.size()) << threads;
-        for (std::size_t i = 0; i < batch.size(); ++i)
-            expectSamePlan(plans[i], eng.routePlan(batch[i]), n,
-                           threads == 1 ? "serial batch"
-                                        : "threaded batch");
-    }
-
-    EXPECT_TRUE(setup.setupMany({}).empty());
-}
-
 /**
  * The tiled differential oracle: setupTiled's arena-resident packed
- * bits must be bit-for-bit what the flat path would have produced
- * (packedStates over setupMany's FastPlans), success flags included.
+ * bits must be bit-for-bit what per-item planning produces
+ * (packedStates over the engine's routePlan), success flags
+ * included.
  */
 void
-expectTiledMatchesFlat(const SetupEngine &setup,
-                       const std::vector<Permutation> &batch,
-                       RoutingMode mode, unsigned threads,
-                       const std::shared_ptr<PlanArena> &arena,
-                       const char *what)
+expectTiledMatchesPerItem(const FastEngine &eng, const SetupEngine &setup,
+                          const std::vector<Permutation> &batch,
+                          RoutingMode mode,
+                          const std::shared_ptr<PlanArena> &arena,
+                          const char *what)
 {
-    const TiledPlans tiled = setup.setupTiled(batch, mode, threads,
-                                              arena);
-    const std::vector<FastPlan> flat =
-        setup.setupMany(batch, mode, threads);
+    const TiledPlans tiled = setup.setupTiled(batch, mode, arena);
     ASSERT_EQ(tiled.size(), batch.size()) << what;
-    ASSERT_EQ(flat.size(), batch.size()) << what;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(tiled.success(i), flat[i].success)
-            << what << " plan " << i;
+        const FastPlan ref = eng.routePlan(batch[i], mode);
+        EXPECT_EQ(tiled.success(i), ref.success) << what << " plan " << i;
         const PackedStates a = tiled.packedStates(i);
-        const PackedStates b = setup.packedStates(flat[i]);
+        const PackedStates b = setup.packedStates(ref);
         EXPECT_EQ(a.n, b.n) << what;
         EXPECT_EQ(a.words_per_stage, b.words_per_stage) << what;
         EXPECT_EQ(a.words, b.words) << what << " plan " << i;
     }
 }
 
-TEST(SetupEngine, TiledMatchesFlatExhaustivelyAtSmallN)
+TEST(SetupEngine, TiledMatchesPerItemExhaustivelyAtSmallN)
 {
     for (unsigned n = 1; n <= 3; ++n) {
         const Word N = Word{1} << n;
@@ -248,13 +216,13 @@ TEST(SetupEngine, TiledMatchesFlatExhaustivelyAtSmallN)
             batch.emplace_back(dest);
         } while (std::next_permutation(dest.begin(), dest.end()));
         const auto arena = std::make_shared<PlanArena>(64);
-        expectTiledMatchesFlat(setup, batch,
-                               RoutingMode::SelfRouting, 1, arena,
-                               "exhaustive");
+        expectTiledMatchesPerItem(eng, setup, batch,
+                                  RoutingMode::SelfRouting, arena,
+                                  "exhaustive");
     }
 }
 
-TEST(SetupEngine, TiledMatchesFlatRandomizedAcrossTileBoundaries)
+TEST(SetupEngine, TiledMatchesPerItemRandomizedAcrossTileBoundaries)
 {
     Prng prng(97);
     for (unsigned n = 4; n <= 12; n += 2) {
@@ -272,14 +240,12 @@ TEST(SetupEngine, TiledMatchesFlatRandomizedAcrossTileBoundaries)
                                     : randomFMember(n, prng));
             const auto arena = std::make_shared<PlanArena>(
                 (2 * n - 1) * (N / 2 / 8 + 8) * 3);
-            for (unsigned threads : {1u, 4u}) {
-                expectTiledMatchesFlat(setup, batch,
-                                       RoutingMode::SelfRouting,
-                                       threads, arena, "randomized");
-                expectTiledMatchesFlat(setup, batch,
-                                       RoutingMode::OmegaBit,
-                                       threads, arena, "omega-bit");
-            }
+            expectTiledMatchesPerItem(eng, setup, batch,
+                                      RoutingMode::SelfRouting, arena,
+                                      "randomized");
+            expectTiledMatchesPerItem(eng, setup, batch,
+                                      RoutingMode::OmegaBit, arena,
+                                      "omega-bit");
         }
     }
     const FastEngine eng(4);
@@ -307,27 +273,23 @@ TEST(SetupEngine, FusedSetupExecuteMatchesTheSeparatePhases)
             payloads.push_back(std::move(payload));
         }
 
-        // Reference: flat plans, executed one by one.
-        const std::vector<FastPlan> plans = setup.setupMany(batch);
+        // Reference: per-item plans, executed one by one.
+        std::vector<FastPlan> plans;
         std::vector<std::vector<Word>> want(B);
-        for (std::size_t i = 0; i < B; ++i)
+        for (std::size_t i = 0; i < B; ++i) {
+            plans.push_back(eng.routePlan(batch[i]));
             eng.executeInto(plans[i], payloads[i], want[i]);
+        }
 
         const auto arena = std::make_shared<PlanArena>(
             n >= 8 ? PlanArena::kDefaultTileBytes / 4 : 512);
-        for (unsigned threads : {1u, 3u}) {
-            TiledPlans tiled;
-            const std::vector<std::vector<Word>> got =
-                setup.setupExecuteMany(batch, payloads,
-                                       RoutingMode::SelfRouting,
-                                       threads, &tiled, arena);
-            ASSERT_EQ(got.size(), B) << "n=" << n;
-            for (std::size_t i = 0; i < B; ++i) {
-                EXPECT_EQ(got[i], want[i])
-                    << "n=" << n << " plan " << i
-                    << " threads=" << threads;
-                EXPECT_EQ(tiled.success(i), plans[i].success);
-            }
+        TiledPlans tiled;
+        const std::vector<std::vector<Word>> got = setup.setupExecuteMany(
+            batch, payloads, RoutingMode::SelfRouting, &tiled, arena);
+        ASSERT_EQ(got.size(), B) << "n=" << n;
+        for (std::size_t i = 0; i < B; ++i) {
+            EXPECT_EQ(got[i], want[i]) << "n=" << n << " plan " << i;
+            EXPECT_EQ(tiled.success(i), plans[i].success);
         }
     }
 }

@@ -188,8 +188,7 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
                 if (it % 4 == 0) {
                     std::vector<std::vector<Word>> batch(
                         3, iotaPayload(N, t * 1000));
-                    const auto outs =
-                        router.executeMany(*plan, batch, 2);
+                    const auto outs = router.executeMany(*plan, batch);
                     for (const auto &out : outs)
                         for (Word i = 0; i < N; ++i)
                             if (out[d[i]] != batch[0][i])
