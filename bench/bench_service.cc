@@ -7,8 +7,8 @@
  * (n = 8 fabric, 2 workers):
  *
  *   sweep    : offered-rate sweep — serves/s, p50/p99 client-side
- *              submit→response latency, and shed counts at each
- *              step. Open loop, so overload shows up as latency and
+ *              latency (scheduled send → response), and shed
+ *              counts at each step. Open loop, so overload shows up as latency and
  *              sheds, never as a silently throttled offered rate.
  *   deadline : the sweep's top rate with a tight per-request
  *              deadline, exercising the wire deadline plumbing

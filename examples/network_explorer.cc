@@ -13,6 +13,7 @@
  */
 
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -51,16 +52,18 @@ main(int argc, char **argv)
         dest = randomFMember(3, prng).dest();
     }
 
-    if (!Permutation::isValid(dest)) {
+    const std::optional<Permutation> parsed =
+        Permutation::tryFrom(std::move(dest));
+    if (!parsed) {
         std::cerr << "not a permutation of 0..N-1\n";
         return 1;
     }
-    if (!isPowerOfTwo(dest.size())) {
+    if (!isPowerOfTwo(parsed->size())) {
         std::cerr << "length must be a power of two\n";
         return 1;
     }
 
-    const Permutation d(dest);
+    const Permutation &d = *parsed;
     const unsigned n = d.log2Size();
     std::cout << "D = " << d.toString() << ", N = " << d.size()
               << ", n = " << n << "\n\nclass membership:\n";

@@ -65,12 +65,13 @@ Client::send(const Message &m)
 {
     if (fd_ < 0)
         return false;
-    std::vector<std::uint8_t> buf;
-    encode(m, buf);
+    send_buf_.clear();
+    encode(m, send_buf_);
     std::size_t off = 0;
-    while (off < buf.size()) {
-        const ssize_t sent = ::send(fd_, buf.data() + off,
-                                    buf.size() - off, MSG_NOSIGNAL);
+    while (off < send_buf_.size()) {
+        const ssize_t sent =
+            ::send(fd_, send_buf_.data() + off, send_buf_.size() - off,
+                   MSG_NOSIGNAL);
         if (sent > 0) {
             off += static_cast<std::size_t>(sent);
             continue;

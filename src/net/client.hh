@@ -69,6 +69,9 @@ class Client
 
   private:
     int fd_ = -1;
+    /** send()'s frame buffer, reused so a steady stream of sends
+     *  stops allocating once it has seen its largest frame. */
+    std::vector<std::uint8_t> send_buf_;
     Decoder decoder_;
     std::uint64_t protocol_errors_ = 0;
 };

@@ -2,7 +2,7 @@
  * @file
  * Open-loop load generator implementation. One sender + one reader
  * thread per connection; cross-thread state is confined to the
- * atomic send-timestamp table and the sender's published send
+ * atomic due-instant table and the sender's published send
  * count, so the whole generator is lock-free and tsan-clean by
  * construction.
  */
@@ -54,18 +54,25 @@ void
 senderMain(ConnState &cs, const std::vector<Pattern> &patterns,
            const LoadgenOptions &opts, double per_conn_rate)
 {
-    using clock = std::chrono::steady_clock;
-    const auto interval = std::chrono::nanoseconds(
-        static_cast<std::uint64_t>(1e9 / per_conn_rate));
-    const auto start = clock::now();
-    const auto end =
-        start + std::chrono::milliseconds(opts.duration_ms);
+    // The schedule is fixed before the first send, on the
+    // obs::monotonicNs clock (steady_clock). Each request is timed
+    // from its due instant, not from when it left, so a sender that
+    // falls behind still charges the wait to the requests it delays
+    // instead of hiding it (coordinated omission).
+    const auto interval_ns =
+        static_cast<std::uint64_t>(1e9 / per_conn_rate);
+    const std::uint64_t start = obs::monotonicNs();
+    const std::uint64_t end = start + opts.duration_ms * 1000000ULL;
 
     std::uint64_t seq = 0;
     const std::size_t max_sends = cs.send_ns.size();
-    for (auto next = start; next < end && seq < max_sends;
-         next += interval) {
-        std::this_thread::sleep_until(next);
+    for (; seq < max_sends; ++seq) {
+        const std::uint64_t due = start + seq * interval_ns;
+        if (due >= end)
+            break;
+        std::this_thread::sleep_until(
+            std::chrono::steady_clock::time_point(
+                std::chrono::nanoseconds(due)));
         const Pattern &p = patterns[seq % patterns.size()];
 
         SubmitMsg m;
@@ -79,14 +86,12 @@ senderMain(ConnState &cs, const std::vector<Pattern> &patterns,
 
         // order: relaxed; the reader only loads this slot after the
         // response for seq arrives, which the send below precedes.
-        cs.send_ns[seq].store(obs::monotonicNs(),
-                              std::memory_order_relaxed);
+        cs.send_ns[seq].store(due, std::memory_order_relaxed);
         if (!cs.client.send(Message{std::move(m)}))
             break;
-        ++seq;
         // order: release publishes the timestamp slot to the
         // reader's acquire load of sent.
-        cs.sent.store(seq, std::memory_order_release);
+        cs.sent.store(seq + 1, std::memory_order_release);
     }
     // order: release; pairs with the reader's acquire to make the
     // final sent count visible.

@@ -7,10 +7,12 @@
  * fixed intervals regardless of how many responses are outstanding,
  * so server-side queueing shows up as LATENCY (and eventually
  * sheds) instead of silently throttling the offered rate the way a
- * closed-loop client would. A paired reader thread per connection
- * matches responses to send timestamps and accumulates the latency
- * histogram; the two threads share only the half-duplex Client and
- * an atomic timestamp table.
+ * closed-loop client would. Latency runs from each request's
+ * scheduled send instant, so a sender that falls behind its own
+ * schedule charges the lag to the requests it delays. A paired
+ * reader thread per connection matches responses to those instants
+ * and accumulates the latency histogram; the two threads share
+ * only the half-duplex Client and an atomic timestamp table.
  *
  * The generator verifies what it can: routed payloads are checked
  * word-for-word against Permutation::applyTo of the submitted
@@ -84,7 +86,7 @@ struct LoadgenReport
     double serves_per_sec = 0;
     double elapsed_sec = 0;
 
-    /** @{ Client-observed submit→response latency. */
+    /** @{ Client-observed latency, scheduled send → response. */
     std::uint64_t p50_ns = 0;
     std::uint64_t p99_ns = 0;
     /** @} */

@@ -1,47 +1,83 @@
 /**
  * @file
- * Frame codec implementation. Encoding appends to a caller buffer
- * (one allocation-free path for a connection's write queue);
+ * Frame codec implementation. Encoding sizes each frame up front,
+ * grows the caller's buffer once and writes the body in bulk;
  * decoding is a bounds-checked cursor over the receive buffer that
  * treats ANY deviation — short body, long body, unknown type,
- * counts that disagree with the body length — as a poisoning
- * protocol error.
+ * counts that disagree with the body length, enum bytes outside
+ * their type — as a poisoning protocol error.
  */
 
 #include "net/protocol.hh"
 
+#include <bit>
 #include <cstring>
 
 namespace srbenes
 {
 namespace net
 {
+
+// The wire is little-endian and the codec copies integers and the
+// u64 payload array straight between host memory and the frame. A
+// big-endian host would need a byte-swapping path that nothing
+// builds or tests, so it is refused at compile time instead.
+static_assert(std::endian::native == std::endian::little,
+              "the srbd wire codec requires a little-endian host");
+
 namespace
 {
 
+// Fixed-width parts of each body, type byte included.
+constexpr std::size_t kSubmitHeader = 1 + 8 + 8 + 8 + 4 + 1;
+constexpr std::size_t kSubmitResultHeader = 1 + 8 + 1 + 1 + 8 + 4;
+constexpr std::size_t kHealthResultBody = 1 + 1 + 4 + 4 + 8 + 8 + 8;
+constexpr std::size_t kStatsResultHeader = 1 + 1 + 4;
+
 // ------------------------------------------------------------ writer
 
-void
-putU8(std::vector<std::uint8_t> &out, std::uint8_t v)
+/**
+ * Unchecked cursor over a frame the encoder has already sized: the
+ * caller resizes the buffer to the exact frame length first, so
+ * every put lands inside it.
+ */
+struct Writer
 {
-    out.push_back(v);
-}
+    std::uint8_t *p;
 
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::memcpy(p, &v, sizeof(v));
+        p += sizeof(v);
+    }
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    putU32(out, static_cast<std::uint32_t>(v));
-    putU32(out, static_cast<std::uint32_t>(v >> 32));
-}
+    void put(MsgType t) { put(static_cast<std::uint8_t>(t)); }
+
+    /** Destination tags, narrowed from Word to u32 on the wire. */
+    void
+    putTags(const std::vector<Word> &tags)
+    {
+        const Word *src = tags.data();
+        const std::size_t count = tags.size();
+        std::uint8_t *dst = p;
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto t = static_cast<std::uint32_t>(src[i]);
+            std::memcpy(dst + 4 * i, &t, 4);
+        }
+        p += 4 * count;
+    }
+
+    void
+    putWords(const std::vector<Word> &words)
+    {
+        const std::size_t bytes = 8 * words.size();
+        if (bytes != 0)
+            std::memcpy(p, words.data(), bytes);
+        p += bytes;
+    }
+};
 
 // ------------------------------------------------------------ reader
 
@@ -68,101 +104,214 @@ struct Reader
         return true;
     }
 
-    std::uint8_t
-    getU8()
+    template <typename T>
+    T
+    get()
     {
-        if (!need(1))
-            return 0;
-        return p[pos++];
-    }
-
-    std::uint32_t
-    getU32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = static_cast<std::uint32_t>(p[pos]) |
-                          static_cast<std::uint32_t>(p[pos + 1]) << 8 |
-                          static_cast<std::uint32_t>(p[pos + 2]) << 16 |
-                          static_cast<std::uint32_t>(p[pos + 3]) << 24;
-        pos += 4;
+        T v{};
+        if (need(sizeof(v))) {
+            std::memcpy(&v, p + pos, sizeof(v));
+            pos += sizeof(v);
+        }
         return v;
     }
 
-    std::uint64_t
-    getU64()
+    std::uint8_t getU8() { return get<std::uint8_t>(); }
+    std::uint32_t getU32() { return get<std::uint32_t>(); }
+    std::uint64_t getU64() { return get<std::uint64_t>(); }
+
+    /**
+     * @p count u32 destination tags, widened to Word. The caller
+     * has already checked the body length against @p count, so
+     * the resize is bounded by the frame-size cap.
+     */
+    void
+    getTags(std::vector<Word> &out, std::size_t count)
     {
-        const std::uint64_t lo = getU32();
-        const std::uint64_t hi = getU32();
-        return lo | hi << 32;
+        if (!need(4 * count))
+            return;
+        out.resize(count);
+        const std::uint8_t *src = p + pos;
+        Word *dst = out.data();
+        for (std::size_t i = 0; i < count; ++i) {
+            std::uint32_t t;
+            std::memcpy(&t, src + 4 * i, 4);
+            dst[i] = t;
+        }
+        pos += 4 * count;
+    }
+
+    /** @p count u64 words; the same length precondition. */
+    void
+    getWords(std::vector<Word> &out, std::size_t count)
+    {
+        if (!need(8 * count))
+            return;
+        out.resize(count);
+        if (count != 0)
+            std::memcpy(out.data(), p + pos, 8 * count);
+        pos += 8 * count;
     }
 
     bool consumed() const { return ok && pos == len; }
 };
 
+// ------------------------------------------------------ enum ranges
+
+// Switches without a default, so -Wswitch flags a new enumerator
+// that the decoder would otherwise refuse.
+
+bool
+knownStatus(std::uint8_t v)
+{
+    switch (static_cast<Status>(v)) {
+      case Status::Ok:
+      case Status::NotInF:
+      case Status::FaultDetected:
+      case Status::DeadlineExceeded:
+      case Status::Shed:
+      case Status::OverQuota:
+      case Status::BadRequest:
+      case Status::Draining:
+        return true;
+    }
+    return false;
+}
+
+bool
+knownTier(std::uint8_t v)
+{
+    switch (static_cast<ServeTier>(v)) {
+      case ServeTier::Primary:
+      case ServeTier::Reroute:
+      case ServeTier::TwoPass:
+      case ServeTier::Failed:
+        return true;
+    }
+    return false;
+}
+
+bool
+knownState(std::uint8_t v)
+{
+    switch (static_cast<ServeState>(v)) {
+      case ServeState::Serving:
+      case ServeState::Draining:
+        return true;
+    }
+    return false;
+}
+
+bool
+knownFormat(std::uint8_t v)
+{
+    switch (static_cast<StatsFormat>(v)) {
+      case StatsFormat::PrometheusText:
+      case StatsFormat::Json:
+        return true;
+    }
+    return false;
+}
+
 // --------------------------------------------------------- per-type
 
-void
-encodeBody(const SubmitMsg &m, std::vector<std::uint8_t> &out)
+std::size_t
+bodySize(const SubmitMsg &m)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::Submit));
-    putU64(out, m.id);
-    putU64(out, m.tenant);
-    putU64(out, m.deadline_rel_ns);
-    putU32(out, static_cast<std::uint32_t>(m.dest.size()));
-    putU8(out, m.has_payload ? 1 : 0);
-    for (Word d : m.dest)
-        putU32(out, static_cast<std::uint32_t>(d));
+    return kSubmitHeader + 4 * m.dest.size() +
+           (m.has_payload ? 8 * m.payload.size() : 0);
+}
+
+std::size_t
+bodySize(const SubmitResultMsg &m)
+{
+    return kSubmitResultHeader + 8 * m.payload.size();
+}
+
+std::size_t
+bodySize(const HealthMsg &)
+{
+    return 1;
+}
+
+std::size_t
+bodySize(const HealthResultMsg &)
+{
+    return kHealthResultBody;
+}
+
+std::size_t
+bodySize(const StatsMsg &)
+{
+    return 2;
+}
+
+std::size_t
+bodySize(const StatsResultMsg &m)
+{
+    return kStatsResultHeader + m.body.size();
+}
+
+void
+encodeBody(const SubmitMsg &m, Writer &w)
+{
+    w.put(MsgType::Submit);
+    w.put(m.id);
+    w.put(m.tenant);
+    w.put(m.deadline_rel_ns);
+    w.put(static_cast<std::uint32_t>(m.dest.size()));
+    w.put(static_cast<std::uint8_t>(m.has_payload ? 1 : 0));
+    w.putTags(m.dest);
     if (m.has_payload)
-        for (Word w : m.payload)
-            putU64(out, w);
+        w.putWords(m.payload);
 }
 
 void
-encodeBody(const SubmitResultMsg &m, std::vector<std::uint8_t> &out)
+encodeBody(const SubmitResultMsg &m, Writer &w)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::SubmitResult));
-    putU64(out, m.id);
-    putU8(out, static_cast<std::uint8_t>(m.status));
-    putU8(out, static_cast<std::uint8_t>(m.tier));
-    putU64(out, m.server_ns);
-    putU32(out, static_cast<std::uint32_t>(m.payload.size()));
-    for (Word w : m.payload)
-        putU64(out, w);
+    w.put(MsgType::SubmitResult);
+    w.put(m.id);
+    w.put(static_cast<std::uint8_t>(m.status));
+    w.put(static_cast<std::uint8_t>(m.tier));
+    w.put(m.server_ns);
+    w.put(static_cast<std::uint32_t>(m.payload.size()));
+    w.putWords(m.payload);
 }
 
 void
-encodeBody(const HealthMsg &, std::vector<std::uint8_t> &out)
+encodeBody(const HealthMsg &, Writer &w)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::Health));
+    w.put(MsgType::Health);
 }
 
 void
-encodeBody(const HealthResultMsg &m, std::vector<std::uint8_t> &out)
+encodeBody(const HealthResultMsg &m, Writer &w)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::HealthResult));
-    putU8(out, static_cast<std::uint8_t>(m.state));
-    putU32(out, m.n);
-    putU32(out, m.workers);
-    putU64(out, m.uptime_ns);
-    putU64(out, m.served);
-    putU64(out, m.inflight);
+    w.put(MsgType::HealthResult);
+    w.put(static_cast<std::uint8_t>(m.state));
+    w.put(m.n);
+    w.put(m.workers);
+    w.put(m.uptime_ns);
+    w.put(m.served);
+    w.put(m.inflight);
 }
 
 void
-encodeBody(const StatsMsg &m, std::vector<std::uint8_t> &out)
+encodeBody(const StatsMsg &m, Writer &w)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::Stats));
-    putU8(out, static_cast<std::uint8_t>(m.format));
+    w.put(MsgType::Stats);
+    w.put(static_cast<std::uint8_t>(m.format));
 }
 
 void
-encodeBody(const StatsResultMsg &m, std::vector<std::uint8_t> &out)
+encodeBody(const StatsResultMsg &m, Writer &w)
 {
-    putU8(out, static_cast<std::uint8_t>(MsgType::StatsResult));
-    putU8(out, static_cast<std::uint8_t>(m.format));
-    putU32(out, static_cast<std::uint32_t>(m.body.size()));
-    out.insert(out.end(), m.body.begin(), m.body.end());
+    w.put(MsgType::StatsResult);
+    w.put(static_cast<std::uint8_t>(m.format));
+    w.put(static_cast<std::uint32_t>(m.body.size()));
+    if (!m.body.empty())
+        std::memcpy(w.p, m.body.data(), m.body.size());
+    w.p += m.body.size();
 }
 
 bool
@@ -189,16 +338,11 @@ decodeBody(Reader &r, SubmitMsg &m, std::string *error)
             *error = "submit body length disagrees with line count";
         return false;
     }
-    m.dest.resize(lines);
-    for (std::uint32_t i = 0; i < lines; ++i)
-        m.dest[i] = r.getU32();
+    r.getTags(m.dest, lines);
     m.has_payload = has_payload != 0;
     m.payload.clear();
-    if (m.has_payload) {
-        m.payload.resize(lines);
-        for (std::uint32_t i = 0; i < lines; ++i)
-            m.payload[i] = r.getU64();
-    }
+    if (m.has_payload)
+        r.getWords(m.payload, lines);
     return true;
 }
 
@@ -206,8 +350,8 @@ bool
 decodeBody(Reader &r, SubmitResultMsg &m, std::string *error)
 {
     m.id = r.getU64();
-    m.status = static_cast<Status>(r.getU8());
-    m.tier = static_cast<ServeTier>(r.getU8());
+    const std::uint8_t status = r.getU8();
+    const std::uint8_t tier = r.getU8();
     m.server_ns = r.getU64();
     const std::uint32_t count = r.getU32();
     if (!r.ok || r.len - r.pos != std::size_t{count} * 8) {
@@ -216,16 +360,23 @@ decodeBody(Reader &r, SubmitResultMsg &m, std::string *error)
                      "payload count";
         return false;
     }
-    m.payload.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        m.payload[i] = r.getU64();
+    if (!knownStatus(status) || !knownTier(tier)) {
+        if (error)
+            *error = "submit-result status " + std::to_string(status) +
+                     " or tier " + std::to_string(tier) +
+                     " out of range";
+        return false;
+    }
+    m.status = static_cast<Status>(status);
+    m.tier = static_cast<ServeTier>(tier);
+    r.getWords(m.payload, count);
     return true;
 }
 
 bool
 decodeBody(Reader &r, HealthResultMsg &m, std::string *error)
 {
-    m.state = static_cast<ServeState>(r.getU8());
+    const std::uint8_t state = r.getU8();
     m.n = r.getU32();
     m.workers = r.getU32();
     m.uptime_ns = r.getU64();
@@ -236,13 +387,20 @@ decodeBody(Reader &r, HealthResultMsg &m, std::string *error)
             *error = "health-result body malformed";
         return false;
     }
+    if (!knownState(state)) {
+        if (error)
+            *error = "health-result state " + std::to_string(state) +
+                     " out of range";
+        return false;
+    }
+    m.state = static_cast<ServeState>(state);
     return true;
 }
 
 bool
 decodeBody(Reader &r, StatsResultMsg &m, std::string *error)
 {
-    m.format = static_cast<StatsFormat>(r.getU8());
+    const std::uint8_t format = r.getU8();
     const std::uint32_t len = r.getU32();
     if (!r.ok || r.len - r.pos != len) {
         if (error)
@@ -250,6 +408,13 @@ decodeBody(Reader &r, StatsResultMsg &m, std::string *error)
                      "declared size";
         return false;
     }
+    if (!knownFormat(format)) {
+        if (error)
+            *error = "stats-result format " + std::to_string(format) +
+                     " out of range";
+        return false;
+    }
+    m.format = static_cast<StatsFormat>(format);
     m.body.assign(reinterpret_cast<const char *>(r.p + r.pos), len);
     r.pos += len;
     return true;
@@ -318,14 +483,16 @@ messageType(const Message &m) noexcept
 void
 encode(const Message &m, std::vector<std::uint8_t> &out)
 {
-    const std::size_t frame_start = out.size();
-    putU32(out, 0); // length backpatched below
-    std::visit([&out](const auto &msg) { encodeBody(msg, out); }, m);
-    const std::size_t body_len = out.size() - frame_start - 4;
-    out[frame_start] = static_cast<std::uint8_t>(body_len);
-    out[frame_start + 1] = static_cast<std::uint8_t>(body_len >> 8);
-    out[frame_start + 2] = static_cast<std::uint8_t>(body_len >> 16);
-    out[frame_start + 3] = static_cast<std::uint8_t>(body_len >> 24);
+    std::visit(
+        [&out](const auto &msg) {
+            const std::size_t body_len = bodySize(msg);
+            const std::size_t frame_start = out.size();
+            out.resize(frame_start + 4 + body_len);
+            Writer w{out.data() + frame_start};
+            w.put(static_cast<std::uint32_t>(body_len));
+            encodeBody(msg, w);
+        },
+        m);
 }
 
 void
@@ -352,11 +519,8 @@ Decoder::next(Message &out, std::string *error)
     if (buffered() < 4)
         return DecodeStatus::NeedMore;
     const std::uint8_t *base = buf_.data() + pos_;
-    const std::uint32_t body_len =
-        static_cast<std::uint32_t>(base[0]) |
-        static_cast<std::uint32_t>(base[1]) << 8 |
-        static_cast<std::uint32_t>(base[2]) << 16 |
-        static_cast<std::uint32_t>(base[3]) << 24;
+    std::uint32_t body_len;
+    std::memcpy(&body_len, base, 4);
     if (body_len < 1 || body_len > max_frame_) {
         poisoned_ = true;
         if (error)
@@ -402,13 +566,10 @@ Decoder::next(Message &out, std::string *error)
         break;
       }
       case MsgType::Stats: {
-        StatsMsg m;
-        m.format = static_cast<StatsFormat>(r.getU8());
-        ok = r.consumed() &&
-             (m.format == StatsFormat::PrometheusText ||
-              m.format == StatsFormat::Json);
+        const std::uint8_t format = r.getU8();
+        ok = r.consumed() && knownFormat(format);
         if (ok)
-            out = std::move(m);
+            out = StatsMsg{static_cast<StatsFormat>(format)};
         else if (error)
             *error = "stats body malformed";
         break;

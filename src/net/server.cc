@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <optional>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <thread>
@@ -432,8 +433,12 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
         respond(conn, std::move(refusal));
         return;
     }
-    if (m.dest.size() != numLines() ||
-        !Permutation::isValid(m.dest)) {
+    // The one validation pass of the serve: the Permutation that
+    // reaches the engine is the one built here.
+    std::optional<Permutation> checked;
+    if (m.dest.size() == numLines())
+        checked = Permutation::tryFrom(std::move(m.dest));
+    if (!checked) {
         refusal.status = Status::BadRequest;
         respond(conn, std::move(refusal));
         return;
@@ -451,7 +456,7 @@ Server::handleSubmit(Connection &conn, SubmitMsg &&m)
     }
 
     auto perm =
-        std::make_shared<const Permutation>(std::move(m.dest));
+        std::make_shared<const Permutation>(std::move(*checked));
     std::vector<Word> payload;
     if (m.has_payload) {
         payload = std::move(m.payload);

@@ -26,17 +26,37 @@ Permutation::random(std::size_t n, Prng &prng)
     return Permutation(std::move(d));
 }
 
-Permutation::Permutation(std::vector<Word> dest)
-    : dest_(std::move(dest))
+namespace
 {
-    if (!isValid(dest_))
-        fatal("vector of size %zu is not a permutation of 0..N-1",
-              dest_.size());
+
+Permutation
+validOrFatal(std::vector<Word> dest)
+{
+    const std::size_t n = dest.size();
+    std::optional<Permutation> p = Permutation::tryFrom(std::move(dest));
+    if (!p)
+        fatal("vector of size %zu is not a permutation of 0..N-1", n);
+    return std::move(*p);
+}
+
+} // namespace
+
+Permutation::Permutation(std::vector<Word> dest)
+    : Permutation(validOrFatal(std::move(dest)))
+{
 }
 
 Permutation::Permutation(std::initializer_list<Word> dest)
     : Permutation(std::vector<Word>(dest))
 {
+}
+
+std::optional<Permutation>
+Permutation::tryFrom(std::vector<Word> dest)
+{
+    if (!isValid(dest))
+        return std::nullopt;
+    return Permutation(std::move(dest), Validated{});
 }
 
 bool

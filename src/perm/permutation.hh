@@ -13,7 +13,9 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -42,6 +44,13 @@ class Permutation
      */
     explicit Permutation(std::vector<Word> dest);
     Permutation(std::initializer_list<Word> dest);
+
+    /**
+     * The non-fatal form of the constructor, for vectors from
+     * outside the program: one validation pass, then nullopt for a
+     * malformed @p dest instead of fatal().
+     */
+    static std::optional<Permutation> tryFrom(std::vector<Word> dest);
 
     /** Check whether @p dest is a valid permutation vector. */
     static bool isValid(const std::vector<Word> &dest);
@@ -90,6 +99,16 @@ class Permutation
     std::string toString() const;
 
   private:
+    struct Validated
+    {
+    };
+
+    /** Adopt a vector tryFrom() has already checked. */
+    Permutation(std::vector<Word> dest, Validated)
+        : dest_(std::move(dest))
+    {
+    }
+
     std::vector<Word> dest_;
 };
 

@@ -24,6 +24,14 @@ TEST(Permutation, ValidityChecks)
     EXPECT_FALSE(Permutation::isValid({0, 0, 2, 3})); // duplicate
     EXPECT_FALSE(Permutation::isValid({0, 1, 2, 4})); // out of range
     EXPECT_FALSE(Permutation::isValid({}));           // empty
+
+    // tryFrom: the same verdicts, without fatal().
+    const auto ok = Permutation::tryFrom({3, 1, 0, 2});
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(*ok, Permutation({3, 1, 0, 2}));
+    EXPECT_FALSE(Permutation::tryFrom({0, 0, 2, 3}).has_value());
+    EXPECT_FALSE(Permutation::tryFrom({0, 1, 2, 4}).has_value());
+    EXPECT_FALSE(Permutation::tryFrom({}).has_value());
 }
 
 TEST(Permutation, IdentityMapsEachToItself)

@@ -490,6 +490,43 @@ TEST_F(SrbdTest, LoadgenRunsCleanAgainstTheServer)
     EXPECT_TRUE(stopServer());
 }
 
+TEST_F(SrbdTest, LoadgenChargesScheduleLagToLatency)
+{
+    // Open-loop latency runs from each request's scheduled instant.
+    // One connection offered far more than it can send falls behind
+    // its schedule almost at once; every request then waits for the
+    // sends ahead of it, and the report must carry that wait rather
+    // than time from the moment the request finally left. Four-line
+    // frames keep the server's share of each request far below the
+    // sender's send(), so the queue sits in the schedule, not in the
+    // socket, where timing from the send would also have caught it.
+    ServerOptions sopts = defaults();
+    sopts.n = 2;
+    startServer(std::move(sopts));
+    LoadgenOptions opts;
+    opts.port = server_->port();
+    opts.connections = 1;
+    opts.rate_per_sec = 1e7;
+    opts.duration_ms = 4; // 40000 sends due within 4 ms
+    opts.with_payload = false;
+    opts.patterns = 4;
+    const std::uint64_t t0 = obs::monotonicNs();
+    const LoadgenReport report = runLoadgen(opts);
+    const std::uint64_t wall_ns = obs::monotonicNs() - t0;
+    const std::uint64_t window_ns = opts.duration_ms * 1000000;
+
+    ASSERT_TRUE(report.clean()) << "lost=" << report.lost;
+    EXPECT_EQ(report.sent, 40000u);
+    // The premise: sending took far longer than the schedule.
+    ASSERT_GT(wall_ns, 4 * window_ns);
+    // Responses trickle in over the whole run while every request
+    // was due in its first 4 ms, so the median request waited
+    // about half the overrun; allow a factor of two below that.
+    EXPECT_GT(report.p50_ns, (wall_ns - window_ns) / 4)
+        << "p50=" << report.p50_ns << " wall=" << wall_ns;
+    EXPECT_TRUE(stopServer());
+}
+
 } // namespace
 } // namespace net
 } // namespace srbenes

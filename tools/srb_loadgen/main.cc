@@ -4,8 +4,9 @@
  *
  * Drives a running daemon with clock-scheduled submits, verifies
  * routed payloads against locally computed expectations, and
- * reports the resulting SLO numbers (serves/s, p50/p99
- * submit→response latency, shed / deadline / quota counts).
+ * reports the resulting SLO numbers (serves/s, p50/p99 latency
+ * from each submit's scheduled send instant to its response,
+ * shed / deadline / quota counts).
  *
  *   srb_loadgen --port=P [--host=H] [--rate=RPS] [--seconds=S]
  *               [--connections=C] [--tenants=T] [--patterns=K]
