@@ -13,7 +13,9 @@
  *   batcher   : zero planning, one pass through a different fabric
  *               with log^2 N stages.
  *
- * Timed sections: plan/setup and execution across n.
+ * Timed sections: plan/setup and execution across n, and the cold
+ * Router::plan of a non-F permutation (the failed self-routing
+ * attempt, the factorization and both verification passes).
  */
 
 #include <iostream>
@@ -22,6 +24,7 @@
 
 #include "common/prng.hh"
 #include "common/table.hh"
+#include "core/router.hh"
 #include "core/two_pass.hh"
 #include "core/waksman.hh"
 #include "networks/batcher.hh"
@@ -83,6 +86,36 @@ BM_TwoPassPlanning(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * d.size());
 }
 BENCHMARK(BM_TwoPassPlanning)->Arg(8)->Arg(12)->Arg(16);
+
+void
+BM_RouterColdTwoPassPlan(benchmark::State &state)
+{
+    // A pool of random permutations, cycled so no input stays hot in
+    // the cache; at these widths none is in F or Omega, which the
+    // strategy check confirms on every plan.
+    const unsigned n = static_cast<unsigned>(state.range(0));
+    const Router router(n, false, 0, 1, nullptr);
+    Prng prng(n + 100);
+    std::vector<Permutation> pool;
+    for (int i = 0; i < 16; ++i)
+        pool.push_back(Permutation::random(std::size_t{1} << n, prng));
+    std::size_t k = 0;
+    for (auto _ : state) {
+        const RoutePlan plan = router.plan(pool[k++ % pool.size()]);
+        if (plan.strategy != RouteStrategy::TwoPass) {
+            state.SkipWithError("pool permutation was not two-pass");
+            break;
+        }
+        benchmark::DoNotOptimize(plan.fast->src.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (std::int64_t{1} << n));
+}
+BENCHMARK(BM_RouterColdTwoPassPlan)
+    ->Arg(8)
+    ->Arg(10)
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_WaksmanPlanning(benchmark::State &state)

@@ -208,64 +208,72 @@ FastEngine::runPlanes(std::vector<Word> &planes, FastPlan &plan,
             stageCtrl(s, planes.data(), mode, ctrl);
         stageExchange(s, planes.data(), ctrl);
     }
+    // Success iff the final planes equal the home pattern: every
+    // output's tag is its own index.
+    plan.success = planesAtHome(planes);
+}
+
+void
+FastEngine::homeTables(FastPlan &plan, const Permutation &d) const
+{
+    // Tags ride with their signals, and d is a permutation, so
+    // success pins the whole lane mapping to d itself.
+    plan.dest = d.dest();
+    inverseInto(d, plan.src);
 }
 
 void
 FastEngine::finishPlan(FastPlan &plan, const Permutation &d,
                        const std::vector<Word> &planes) const
 {
-    const Word size = num_lines_;
-    plan.dest.resize(size);
-    plan.src.resize(size);
-    plan.misrouted_outputs.clear();
-
-    // Success iff the final planes equal the home pattern: every
-    // output's tag is its own index.
-    plan.success = planesAtHome(planes);
     if (plan.success) {
-        // Tags ride with their signals, and d is a permutation, so
-        // success pins the whole lane mapping to d itself.
-        for (Word i = 0; i < size; ++i) {
-            plan.dest[i] = d[i];
-            plan.src[d[i]] = i;
-        }
+        homeTables(plan, d);
         return;
     }
 
     // Misroute path (non-F self-routing attempts, fault studies):
     // unpack each slot's tag and recover its origin through d^-1.
-    std::vector<Word> dinv(size);
-    for (Word i = 0; i < size; ++i)
-        dinv[d[i]] = i;
-    for (Word x = 0; x < size; ++x) {
-        const Word w = x >> 6;
-        const unsigned sh = x & 63;
-        Word tag = 0;
-        for (unsigned b = 0; b < n_; ++b)
-            tag |= ((planes[Word{b} * lane_words_ + w] >> sh) & 1u) << b;
-        const Word j = output_of_slot_[x];
-        const Word origin = dinv[tag];
-        plan.src[j] = origin;
-        plan.dest[origin] = j;
-        if (tag != j)
+    // Output j received the tag d[src[j]]; walking j upward lists
+    // the misrouted outputs in ascending order.
+    srcFromPlanes(d, planes, plan.src);
+    plan.dest.resize(num_lines_);
+    for (Word j = 0; j < num_lines_; ++j) {
+        plan.dest[plan.src[j]] = j;
+        if (d[plan.src[j]] != j)
             plan.misrouted_outputs.push_back(j);
     }
-    std::sort(plan.misrouted_outputs.begin(),
-              plan.misrouted_outputs.end());
+}
+
+bool
+FastEngine::routePass(const Permutation &d, RoutingMode mode,
+                      FastPlan &plan) const
+{
+    if (d.size() != num_lines_)
+        fatal("permutation size %zu does not match network N = %llu",
+              d.size(), static_cast<unsigned long long>(num_lines_));
+    loadTagPlanes(d, t_planes);
+    runPlanes(t_planes, plan, nullptr, mode);
+    if (routes_planned_)
+        routes_planned_->inc();
+    return plan.success;
 }
 
 FastPlan
 FastEngine::routePlan(const Permutation &d, RoutingMode mode) const
 {
-    if (d.size() != num_lines_)
-        fatal("permutation size %zu does not match network N = %llu",
-              d.size(), static_cast<unsigned long long>(num_lines_));
     FastPlan plan;
-    loadTagPlanes(d, t_planes);
-    runPlanes(t_planes, plan, nullptr, mode);
+    routePass(d, mode, plan);
     finishPlan(plan, d, t_planes);
-    if (routes_planned_)
-        routes_planned_->inc();
+    return plan;
+}
+
+std::optional<FastPlan>
+FastEngine::tryRoutePlan(const Permutation &d, RoutingMode mode) const
+{
+    FastPlan plan;
+    if (!routePass(d, mode, plan))
+        return std::nullopt;
+    homeTables(plan, d);
     return plan;
 }
 

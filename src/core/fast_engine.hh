@@ -50,6 +50,7 @@
 #ifndef SRBENES_CORE_FAST_ENGINE_HH
 #define SRBENES_CORE_FAST_ENGINE_HH
 
+#include <optional>
 #include <vector>
 
 #include "core/plan_arena.hh"
@@ -121,9 +122,22 @@ class FastEngine
         return flat_wires_[boundary * num_lines_ + line];
     }
 
-    /** Route @p d bit-sliced; the hot planning path. */
+    /**
+     * Route @p d bit-sliced. A misrouting plan carries its realized
+     * lane mapping and misroute list (route(), fault studies).
+     */
     FastPlan routePlan(const Permutation &d,
                        RoutingMode mode = RoutingMode::SelfRouting) const;
+
+    /**
+     * The self-routing attempt alone, the hot planning path: the
+     * same bit-sliced pass as routePlan, but a misroute returns
+     * nullopt without unpacking any tag. A plan it does return
+     * equals routePlan's.
+     */
+    std::optional<FastPlan>
+    tryRoutePlan(const Permutation &d,
+                 RoutingMode mode = RoutingMode::SelfRouting) const;
 
     /** Route with externally supplied states (Waksman path). */
     FastPlan planWithStates(const Permutation &d,
@@ -181,9 +195,17 @@ class FastEngine
 
     void loadTagPlanes(const Permutation &d,
                        std::vector<Word> &planes) const;
+    /** Run the stages on @p planes; sets plan.ctrl and success. */
     void runPlanes(std::vector<Word> &planes, FastPlan &plan,
                    const std::vector<Word> *forced,
                    RoutingMode mode) const;
+    /**
+     * The planes pass routePlan and tryRoutePlan share: load @p d's
+     * tags, run the self-set stages, leave the final planes in the
+     * thread's scratch. Returns plan.success.
+     */
+    bool routePass(const Permutation &d, RoutingMode mode,
+                   FastPlan &plan) const;
     /**
      * @{ Stage-granular pieces of runPlanes, shared with the tiled
      * setup pipeline (SetupEngine::setupTiled) so the Fig. 3 control
@@ -204,6 +226,9 @@ class FastEngine
      *  bytes needed beyond the permutation itself. */
     void inverseInto(const Permutation &d, std::vector<Word> &src) const;
     /** @} */
+    /** dest/src of a success plan: d and d^-1. */
+    void homeTables(FastPlan &plan, const Permutation &d) const;
+    /** dest/src/misroutes of a routed plan from its final planes. */
     void finishPlan(FastPlan &plan, const Permutation &d,
                     const std::vector<Word> &planes) const;
     RouteResult toRouteResult(const FastPlan &plan,

@@ -154,20 +154,19 @@ Router::planImpl(const Permutation &d) const
     // test (a permutation self-routes iff it is in F), and one
     // bit-sliced routing pass costs a fraction of the structural
     // inFClass check. All self-routed passes go through the
-    // SetupEngine so cold planning stays on the bit-sliced path.
-    {
-        auto fast = std::make_shared<FastPlan>(setup_.plan(d));
-        if (fast->success)
-            return RoutePlan{RouteStrategy::SelfRouting, d, {}, {}, 1,
-                             std::move(fast)};
-    }
+    // SetupEngine so cold planning stays on the bit-sliced path;
+    // each decides on the final tag planes alone, so a rejected
+    // attempt never unpacks its misroutes.
+    if (std::optional<FastPlan> fast = setup_.tryPlan(d))
+        return RoutePlan{RouteStrategy::SelfRouting, d, {}, {}, 1,
+                         std::make_shared<FastPlan>(std::move(*fast))};
     if (isOmega(d)) {
-        auto fast = std::make_shared<FastPlan>(
-            setup_.plan(d, RoutingMode::OmegaBit));
-        if (!fast->success)
+        std::optional<FastPlan> fast =
+            setup_.tryPlan(d, RoutingMode::OmegaBit);
+        if (!fast)
             panic("omega-bit plan failed for a planned Omega member");
         return RoutePlan{RouteStrategy::OmegaBit, d, {}, {}, 1,
-                         std::move(fast)};
+                         std::make_shared<FastPlan>(std::move(*fast))};
     }
     if (prefer_waksman_) {
         SwitchStates states = waksmanSetup(net_.topology(), d);
@@ -180,20 +179,20 @@ Router::planImpl(const Permutation &d) const
     }
 
     TwoPassPlan tp = twoPassPlan(net_, d);
-    const FastPlan p1 = setup_.plan(tp.first);
-    const FastPlan p2 =
-        setup_.plan(tp.second, RoutingMode::OmegaBit);
-    if (!p1.success || !p2.success)
+    const std::optional<FastPlan> p1 = setup_.tryPlan(tp.first);
+    const std::optional<FastPlan> p2 =
+        setup_.tryPlan(tp.second, RoutingMode::OmegaBit);
+    if (!p1 || !p2)
         panic("two-pass plan failed one of its self-routed passes");
     // Compose the two verified passes into one execution mapping;
     // the per-pass switch states live in the TwoPassPlan if needed.
     auto fast = std::make_shared<FastPlan>();
-    fast->n = p1.n;
+    fast->n = p1->n;
     fast->success = true;
     fast->dest.resize(d.size());
     fast->src.resize(d.size());
     for (Word i = 0; i < d.size(); ++i)
-        fast->dest[i] = p2.dest[p1.dest[i]];
+        fast->dest[i] = p2->dest[p1->dest[i]];
     for (Word i = 0; i < d.size(); ++i)
         fast->src[fast->dest[i]] = i;
     return RoutePlan{RouteStrategy::TwoPass, d, std::move(tp), {}, 2,

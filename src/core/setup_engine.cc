@@ -195,6 +195,15 @@ SetupEngine::plan(const Permutation &d, RoutingMode mode) const
     return p;
 }
 
+std::optional<FastPlan>
+SetupEngine::tryPlan(const Permutation &d, RoutingMode mode) const
+{
+    std::optional<FastPlan> p = eng_.tryRoutePlan(d, mode);
+    if (plans_)
+        plans_->inc();
+    return p;
+}
+
 PackedStates
 SetupEngine::packedStates(const FastPlan &plan) const
 {

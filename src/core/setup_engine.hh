@@ -49,6 +49,7 @@
 #define SRBENES_CORE_SETUP_ENGINE_HH
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -80,6 +81,15 @@ class SetupEngine
     /** Cold-plan @p d through the bit-sliced fabric. */
     FastPlan plan(const Permutation &d,
                   RoutingMode mode = RoutingMode::SelfRouting) const;
+
+    /**
+     * Cold-plan @p d only if it routes in @p mode: nullopt, without
+     * the misroute tables, when a tag misses its output
+     * (FastEngine::tryRoutePlan). Router's planning passes use it.
+     */
+    std::optional<FastPlan>
+    tryPlan(const Permutation &d,
+            RoutingMode mode = RoutingMode::SelfRouting) const;
 
     /**
      * Physical-order PackedStates of @p plan, produced word-parallel

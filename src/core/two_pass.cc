@@ -1,5 +1,8 @@
 #include "core/two_pass.hh"
 
+#include <cstring>
+#include <memory>
+
 #include "common/logging.hh"
 
 namespace srbenes
@@ -20,12 +23,14 @@ mixFactorKey(std::uint64_t x)
     return x;
 }
 
+/** Color of a slot the level's loops have not reached yet. */
+constexpr std::uint8_t kUncolored = 0xff;
+
 /**
- * Recursive worker: run the looping 2-coloring of the Waksman
- * algorithm, but instead of emitting switch states, record for each
- * original input the upper/lower decision at every recursion level.
- * Those decision bits ARE the middle-stage line label M_i in the
- * recursive numbering of B(n):
+ * The looping 2-coloring of the Waksman algorithm, run level by
+ * level over flat scratch. Instead of emitting switch states it
+ * records, for each original input, the middle-stage line label M_i
+ * in the recursive numbering of B(n):
  *
  *  - the level-l decision becomes bit l of M_i (which B(n-1-l)
  *    subnetwork the signal uses);
@@ -36,71 +41,106 @@ mixFactorKey(std::uint64_t x)
  * at every granularity, which is exactly Lawrie's pair of window
  * conditions: M is in InverseOmega(n) and D o M^-1 is in Omega(n).
  *
- * @param d    local sub-permutation (size 2^m);
- * @param ids  original input index carried by each local input;
- * @param level current recursion depth (0 = outermost);
- * @param n    total index width;
- * @param mid  output: M, indexed by original input;
- * @param seed loop-coloring seed; 0 = canonical (always pick 0).
+ * Level l holds its 2^l subproblems side by side, block k at
+ * [k * 2^(n-l), (k+1) * 2^(n-l)): local u32 tags and the original
+ * input ids they carry. A block's upper half feeds block 2k of the
+ * next level and its lower half block 2k+1, so an input's decisions
+ * are spelled by the position it ends at: position x after the last
+ * level is labeled M = reverse_n(x). Each block's work depends on
+ * its own tags, ids and level only, so the order in which blocks are
+ * colored is free and the labels equal the depth-first recursion's.
+ *
+ * @param d    the permutation (size 2^n, n >= 2);
+ * @param seed loop-coloring seed; 0 = canonical (always pick 0);
+ * @param mid  output: M, indexed by original input.
  */
 void
-factorRecurse(const std::vector<Word> &d, const std::vector<Word> &ids,
-              unsigned level, unsigned n, std::vector<Word> &mid,
-              std::uint64_t seed)
+factorLevels(const std::vector<Word> &d, unsigned n, std::uint64_t seed,
+             std::vector<Word> &mid)
 {
     const Word size = d.size();
-    if (size == 2) {
-        // Final B(1): the local input index is the middle-stage port.
-        mid[ids[0]] |= Word{0} << (n - 1);
-        mid[ids[1]] |= Word{1} << (n - 1);
-        return;
+    // Current and next level's tags and ids, and the per-block
+    // inverse; every word is written before it is read.
+    const auto scratch =
+        std::make_unique_for_overwrite<std::uint32_t[]>(5 * size);
+    std::uint32_t *tag = scratch.get();
+    std::uint32_t *next_tag = tag + size;
+    std::uint32_t *id = next_tag + size;
+    std::uint32_t *next_id = id + size;
+    std::uint32_t *inv = next_id + size;
+    const auto color =
+        std::make_unique_for_overwrite<std::uint8_t[]>(size);
+    for (Word i = 0; i < size; ++i) {
+        tag[i] = static_cast<std::uint32_t>(d[i]);
+        id[i] = static_cast<std::uint32_t>(i);
     }
 
-    std::vector<Word> dinv(size);
-    for (Word x = 0; x < size; ++x)
-        dinv[d[x]] = x;
+    for (unsigned level = 0; level + 1 < n; ++level) {
+        const Word block = size >> level;
+        const Word half = block / 2;
+        for (Word x = 0; x < size; ++x)
+            inv[(x & ~(block - 1)) | tag[x]] =
+                static_cast<std::uint32_t>(x);
+        std::memset(color.get(), kUncolored, size);
 
-    // The alternating loop of the Waksman setup: inputs of one pair
-    // must part ways, and so must the inputs feeding one output
-    // pair. Each loop's starting color is the algorithm's free
-    // choice; the seeded draw keys on the loop's starting ORIGINAL
-    // input id, which is unique per loop across the whole level.
-    std::vector<int> up(size, -1);
-    for (Word p = 0; p < size / 2; ++p) {
-        if (up[2 * p] != -1)
-            continue;
-        Word x = 2 * p;
-        // Top bit: bit 0 of the finalizer is biased over these
-        // small structured keys (see waksman.cc seededColor).
-        int val = seed == 0
-                      ? 0
-                      : static_cast<int>(
-                            mixFactorKey(
-                                seed ^
-                                (std::uint64_t{level} << 48) ^
-                                ids[2 * p]) >>
-                            63);
-        while (up[x] == -1) {
-            up[x] = val;
-            up[x ^ 1] = 1 - val;
-            x = dinv[d[x ^ 1] ^ 1];
+        for (Word base = 0; base < size; base += block) {
+            // The alternating loop: inputs of one pair must part
+            // ways, and so must the inputs feeding one output pair.
+            // Each loop's starting color is the algorithm's free
+            // choice; the seeded draw keys on the loop's starting
+            // ORIGINAL input id, which is unique per loop across the
+            // whole level.
+            for (Word p = base; p < base + block; p += 2) {
+                if (color[p] != kUncolored)
+                    continue;
+                // Top bit: bit 0 of the finalizer is biased over
+                // these small structured keys (see waksman.cc
+                // seededColor).
+                const std::uint8_t val =
+                    seed == 0
+                        ? 0
+                        : static_cast<std::uint8_t>(
+                              mixFactorKey(
+                                  seed ^
+                                  (std::uint64_t{level} << 48) ^
+                                  id[p]) >>
+                              63);
+                Word x = p;
+                while (color[x] == kUncolored) {
+                    color[x] = val;
+                    color[x ^ 1] = val ^ 1;
+                    x = inv[base | (tag[x ^ 1] ^ 1)];
+                }
+            }
+            // Color 0 goes up. Halving the tags renumbers each
+            // half's outputs locally.
+            for (Word i = 0; i < half; ++i) {
+                const Word up = base + 2 * i + color[base + 2 * i];
+                const Word dn = up ^ 1;
+                next_tag[base + i] = tag[up] >> 1;
+                next_tag[base + half + i] = tag[dn] >> 1;
+                next_id[base + i] = id[up];
+                next_id[base + half + i] = id[dn];
+            }
         }
+        std::swap(tag, next_tag);
+        std::swap(id, next_id);
     }
 
-    std::vector<Word> usub(size / 2), lsub(size / 2);
-    std::vector<Word> uids(size / 2), lids(size / 2);
-    for (Word i = 0; i < size / 2; ++i) {
-        const Word x_up = 2 * i + static_cast<Word>(up[2 * i] != 0);
-        const Word x_dn = x_up ^ 1;
-        usub[i] = d[x_up] >> 1;
-        lsub[i] = d[x_dn] >> 1;
-        uids[i] = ids[x_up];
-        lids[i] = ids[x_dn];
-        mid[ids[x_dn]] |= Word{1} << level;
+    // Final B(1) blocks: the port is bit 0 of the position, and the
+    // level-l decision its bit n-1-l. Walk x upward while counting
+    // in bit-reversed order.
+    const Word top = Word{1} << (n - 1);
+    Word rev = 0;
+    for (Word x = 0; x < size; ++x) {
+        mid[id[x]] = rev;
+        Word m = top;
+        while (rev & m) {
+            rev ^= m;
+            m >>= 1;
+        }
+        rev |= m;
     }
-
-    factorRecurse(usub, uids, level + 1, n, mid, seed);
-    factorRecurse(lsub, lids, level + 1, n, mid, seed);
 }
 
 } // namespace
@@ -126,11 +166,8 @@ twoPassPlanSeeded(const SelfRoutingBenes &net, const Permutation &d,
         return {Permutation::identity(size), d};
     }
 
-    std::vector<Word> mid(size, 0);
-    std::vector<Word> ids(size);
-    for (Word i = 0; i < size; ++i)
-        ids[i] = i;
-    factorRecurse(d.dest(), ids, 0, n, mid, seed);
+    std::vector<Word> mid(size);
+    factorLevels(d.dest(), n, seed, mid);
 
     std::vector<Word> second(size);
     for (Word i = 0; i < size; ++i)

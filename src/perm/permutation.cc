@@ -1,5 +1,7 @@
 #include "perm/permutation.hh"
 
+#include <cstdint>
+#include <memory>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -62,15 +64,20 @@ Permutation::tryFrom(std::vector<Word> dest)
 bool
 Permutation::isValid(const std::vector<Word> &dest)
 {
-    if (dest.empty())
+    const std::size_t n = dest.size();
+    if (n == 0)
         return false;
-    std::vector<bool> seen(dest.size(), false);
+    // Byte marks and one OR of the duplicate flags: the only branch
+    // left in the loop is the (predictable) range check.
+    const auto seen = std::make_unique<std::uint8_t[]>(n);
+    std::uint8_t dup = 0;
     for (Word d : dest) {
-        if (d >= dest.size() || seen[d])
+        if (d >= n)
             return false;
-        seen[d] = true;
+        dup |= seen[d];
+        seen[d] = 1;
     }
-    return true;
+    return dup == 0;
 }
 
 unsigned

@@ -5,12 +5,14 @@
  * randomized over every permutation class at n = 4..10, in both
  * routing modes and under forced (Waksman) states — states,
  * output_tags, realized_dest, misrouted_outputs and success must
- * match bit for bit. Also covers the packed-state round trips, the
- * batched executors, and the Router plan cache.
+ * match bit for bit. The reject-early tryRoutePlan is held to
+ * routePlan's verdict and plan. Also covers the packed-state round
+ * trips, the batched executors, and the Router plan cache.
  */
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +95,62 @@ TEST(FastEngine, RandomizedDifferentialAllClasses)
             };
             for (const auto &d : cases)
                 compareBothModes(net, eng, d);
+        }
+    }
+}
+
+/**
+ * The reject-early pass against the full one: tryRoutePlan returns
+ * a plan exactly when routePlan succeeds, and that plan is routePlan's
+ * (ctrl, dest, src; no misroutes), in both modes.
+ */
+void
+expectTryMatchesFull(const FastEngine &eng, const Permutation &d)
+{
+    for (RoutingMode mode :
+         {RoutingMode::SelfRouting, RoutingMode::OmegaBit}) {
+        const FastPlan full = eng.routePlan(d, mode);
+        const std::optional<FastPlan> early = eng.tryRoutePlan(d, mode);
+        ASSERT_EQ(early.has_value(), full.success) << d.toString();
+        if (!early)
+            continue;
+        EXPECT_TRUE(early->success);
+        EXPECT_EQ(early->n, full.n);
+        EXPECT_EQ(early->ctrl, full.ctrl) << d.toString();
+        EXPECT_EQ(early->dest, full.dest) << d.toString();
+        EXPECT_EQ(early->src, full.src) << d.toString();
+        EXPECT_TRUE(early->misrouted_outputs.empty());
+    }
+}
+
+TEST(FastEngine, TryRoutePlanExhaustiveSmall)
+{
+    for (unsigned n = 1; n <= 3; ++n) {
+        const FastEngine eng(n);
+        std::vector<Word> dest(std::size_t{1} << n);
+        std::iota(dest.begin(), dest.end(), Word{0});
+        do {
+            expectTryMatchesFull(eng, Permutation(dest));
+        } while (std::next_permutation(dest.begin(), dest.end()));
+    }
+}
+
+TEST(FastEngine, TryRoutePlanRandomized)
+{
+    Prng prng(43);
+    for (unsigned n = 4; n <= 12; ++n) {
+        const SelfRoutingBenes net(n);
+        const FastEngine eng(n);
+        const int trials = randIters(n <= 8 ? 6 : 2);
+        for (int t = 0; t < trials; ++t) {
+            const Permutation any =
+                Permutation::random(std::size_t{1} << n, prng);
+            const TwoPassPlan tp = twoPassPlan(net, any);
+            // Accepted (F member, both factors) and rejected
+            // (arbitrary) inputs in each mode.
+            for (const Permutation &d :
+                 {randomFMember(n, prng), tp.first, tp.second, any})
+                expectTryMatchesFull(eng, d);
         }
     }
 }

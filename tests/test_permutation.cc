@@ -4,6 +4,7 @@
  * composition convention (Section II closing example).
  */
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -24,6 +25,11 @@ TEST(Permutation, ValidityChecks)
     EXPECT_FALSE(Permutation::isValid({0, 0, 2, 3})); // duplicate
     EXPECT_FALSE(Permutation::isValid({0, 1, 2, 4})); // out of range
     EXPECT_FALSE(Permutation::isValid({}));           // empty
+    EXPECT_FALSE(Permutation::isValid({0, 1, 2, 2})); // last dup
+    EXPECT_FALSE(Permutation::isValid({4, 1, 2, 3})); // value N
+    EXPECT_FALSE(Permutation::isValid({0, 1, 2, ~Word{0}}));
+    EXPECT_TRUE(Permutation::isValid({0}));           // size 1
+    EXPECT_FALSE(Permutation::isValid({1}));
 
     // tryFrom: the same verdicts, without fatal().
     const auto ok = Permutation::tryFrom({3, 1, 0, 2});
@@ -32,6 +38,28 @@ TEST(Permutation, ValidityChecks)
     EXPECT_FALSE(Permutation::tryFrom({0, 0, 2, 3}).has_value());
     EXPECT_FALSE(Permutation::tryFrom({0, 1, 2, 4}).has_value());
     EXPECT_FALSE(Permutation::tryFrom({}).has_value());
+}
+
+TEST(Permutation, ValidityMatchesSortedReference)
+{
+    // Every vector of length 1..4 over values 0..5: the verdict is
+    // "sorted copy == 0..N-1", duplicates and out-of-range alike.
+    for (std::size_t len = 1; len <= 4; ++len) {
+        std::vector<Word> v(len, 0);
+        for (;;) {
+            std::vector<Word> sorted = v;
+            std::sort(sorted.begin(), sorted.end());
+            bool want = true;
+            for (std::size_t i = 0; i < len; ++i)
+                want = want && sorted[i] == i;
+            EXPECT_EQ(Permutation::isValid(v), want);
+            std::size_t k = 0;
+            while (k < len && ++v[k] == 6)
+                v[k++] = 0;
+            if (k == len)
+                break;
+        }
+    }
 }
 
 TEST(Permutation, IdentityMapsEachToItself)
