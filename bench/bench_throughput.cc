@@ -20,7 +20,7 @@
  * so both sides use the same total thread count. Both sides get an
  * untimed warm prefix.
  *
- *   baseline : per request, Router::routeOutcome — a scalar FNV
+ *   baseline : per request, Router::routeOutcome — a 128-bit
  *              hash of the destination vector, a locked shared-cache
  *              probe, and a freshly allocated result vector;
  *   stream   : per request, a memoized 128-bit hash, an SPSC ring

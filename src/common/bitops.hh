@@ -143,6 +143,22 @@ prefetchWords(const Word *p, Word words)
 #endif
 }
 
+/**
+ * The splitmix64 finalizer: a bijective 64-bit mixer whose output
+ * bits each depend on every input bit. Used for hash lanes and for
+ * the seeded loop-color draws of the switch-setting algorithms.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
 } // namespace srbenes
 
 #endif // SRBENES_COMMON_BITOPS_HH

@@ -8,14 +8,14 @@
  *
  * A RecencyClock is a global monotone tick source; every cache entry
  * carries a RecencyStamp that hits touch() on the read path without
- * taking the shard's writer lock. The eviction scan (under the
- * writer lock) compares raw stamp values, so the properties that
- * matter — and that the model suite pins — are:
+ * taking the shard's writer lock. Eviction (under the writer lock)
+ * compares raw stamp values, so the properties that matter — and
+ * that the model suite pins — are:
  *
  *  - ticks are unique and strictly increasing across threads (the
  *    fetch_add is atomic; two hits never share a tick);
- *  - a touch() is never torn: an eviction scan racing with hits
- *    reads either the old or the new stamp, both valid ticks.
+ *  - a touch() is never torn: an eviction racing with hits reads
+ *    either the old or the new stamp, both valid ticks.
  *
  * Everything here is relaxed on purpose: stamps order nothing but
  * themselves, and the entry contents they protect are published by
@@ -81,11 +81,11 @@ class RecencyStamp
         last_used_.store(t, std::memory_order_relaxed);
     }
 
-    /** The stamp as the eviction scan reads it. */
+    /** The stamp as eviction reads it. */
     std::uint64_t
     value() const
     {
-        // order: relaxed; the scan tolerates racing touches — it
+        // order: relaxed; eviction tolerates racing touches — it
         // reads a valid (old or new) tick either way.
         return last_used_.load(std::memory_order_relaxed);
     }

@@ -5,23 +5,6 @@
 namespace srbenes
 {
 
-namespace
-{
-
-/** splitmix64 finalizer for the seeded loop-color draws. */
-std::uint64_t
-mixLoopKey(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-} // namespace
-
 SwitchStates
 parallelSetup(const BenesTopology &topo, const Permutation &d,
               ParallelSetupStats *stats, std::uint64_t seed)
@@ -109,7 +92,7 @@ parallelSetup(const BenesTopology &topo, const Permutation &d,
             // Top bit: bit 0 of the finalizer is biased over these
             // small structured keys (see waksman.cc seededColor).
             if (seed != 0)
-                color ^= mixLoopKey(
+                color ^= mix64(
                              seed ^ (std::uint64_t{level} << 48) ^
                              std::min(minima[x], partner_min[x])) >>
                          63;

@@ -249,7 +249,7 @@ ResilientRouter::stats() const
 }
 
 std::shared_ptr<const ResilientRouter::DegradedEntry>
-ResilientRouter::degradedLookup(std::uint64_t hash,
+ResilientRouter::degradedLookup(const Hash128 &hash,
                                 std::uint64_t epoch) const
 {
     if (opts_.degraded_cache_capacity == 0)
@@ -263,7 +263,7 @@ ResilientRouter::degradedLookup(std::uint64_t hash,
 
 void
 ResilientRouter::degradedStore(
-    std::uint64_t hash, std::shared_ptr<const DegradedEntry> e) const
+    const Hash128 &hash, std::shared_ptr<const DegradedEntry> e) const
 {
     if (opts_.degraded_cache_capacity == 0)
         return;
@@ -340,8 +340,7 @@ ResilientRouter::tryReroute(const Permutation &d,
                 probeEpoch(), ServeTier::Reroute, d);
             entry->states =
                 std::make_shared<const SwitchStates>(*states);
-            degradedStore(Router::hashPermutation(d),
-                          std::move(entry));
+            degradedStore(hashPermutation128(d), std::move(entry));
             std::vector<Word> out(data.size());
             for (Word i = 0; i < data.size(); ++i)
                 out[res.realized_dest[i]] = data[i];
@@ -378,7 +377,7 @@ ResilientRouter::tryTwoPass(const Permutation &d,
         auto entry = std::make_shared<DegradedEntry>(
             probeEpoch(), ServeTier::TwoPass, d);
         entry->two_pass = std::make_shared<const TwoPassPlan>(tp);
-        degradedStore(Router::hashPermutation(d), std::move(entry));
+        degradedStore(hashPermutation128(d), std::move(entry));
         return RouteOutcome::success(second.takeValue(),
                                      ServeTier::TwoPass);
     }
@@ -427,8 +426,7 @@ ResilientRouter::serveOnce(const Permutation &d,
 
     // A degraded plan already verified this generation skips the
     // search; the pass itself is still tag-verified every serve.
-    const std::uint64_t hash = Router::hashPermutation(d);
-    if (auto entry = degradedLookup(hash, probeEpoch());
+    if (auto entry = degradedLookup(hashPermutation128(d), probeEpoch());
         entry && entry->perm == d) {
         if (entry->tier == ServeTier::Reroute && entry->states) {
             const RouteResult res = routeWithFaultsStates(

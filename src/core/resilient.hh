@@ -228,8 +228,8 @@ class ResilientRouter
     /** Verified degraded plan for @p d at the current epoch, or
      *  nullptr. */
     std::shared_ptr<const DegradedEntry>
-    degradedLookup(std::uint64_t hash, std::uint64_t epoch) const;
-    void degradedStore(std::uint64_t hash,
+    degradedLookup(const Hash128 &hash, std::uint64_t epoch) const;
+    void degradedStore(const Hash128 &hash,
                        std::shared_ptr<const DegradedEntry> e) const;
 
     /** Publish a probe's verdict. @p healthy is the OBSERVED fabric
@@ -267,8 +267,9 @@ class ResilientRouter
     mutable bool believed_healthy_ SRB_GUARDED_BY(mu_) = true;
 
     mutable Mutex degraded_mu_;
-    mutable std::unordered_map<
-        std::uint64_t, std::shared_ptr<const DegradedEntry>>
+    mutable std::unordered_map<Hash128,
+                               std::shared_ptr<const DegradedEntry>,
+                               Hash128Hasher>
         degraded_ SRB_GUARDED_BY(degraded_mu_);
 
     /** Primary serves since the last probe (probe_every pacing). */

@@ -13,20 +13,59 @@
 namespace srbenes
 {
 
-/**
- * FNV-1a over the destination words. Collisions only cost a cache
- * miss: planCached compares the stored permutation before reuse.
- */
-std::uint64_t
-Router::hashPermutation(const Permutation &d)
+Hash128
+hashPermutation128(const Permutation &d)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (Word v : d.dest()) {
-        h ^= v;
-        h *= 1099511628211ULL;
-        h ^= h >> 29; // spread the low-entropy small values
+    constexpr unsigned L = 8;
+    std::uint64_t a[L], b[L];
+    for (unsigned l = 0; l < L; ++l) {
+        a[l] = mix64(0x243f6a8885a308d3ULL + l);
+        b[l] = mix64(0x13198a2e03707344ULL + l);
+    }
+
+    const std::vector<Word> &v = d.dest();
+    const std::size_t size = v.size();
+    const std::size_t full = size - size % L;
+    for (std::size_t i = 0; i < full; i += L) {
+        for (unsigned l = 0; l < L; ++l) {
+            const std::uint64_t x = v[i + l];
+            a[l] = (a[l] ^ x) * 0x9e3779b97f4a7c15ULL;
+            a[l] ^= a[l] >> 32;
+            b[l] = (b[l] ^ (x + i)) * 0xc2b2ae3d27d4eb4fULL;
+            b[l] ^= b[l] >> 29;
+        }
+    }
+    for (std::size_t i = full; i < size; ++i) {
+        const unsigned l = i % L;
+        a[l] = (a[l] ^ v[i]) * 0x9e3779b97f4a7c15ULL;
+        a[l] ^= a[l] >> 32;
+        b[l] = (b[l] ^ (v[i] + i)) * 0xc2b2ae3d27d4eb4fULL;
+        b[l] ^= b[l] >> 29;
+    }
+
+    Hash128 h;
+    h.lo = mix64(size);
+    h.hi = mix64(~std::uint64_t{size});
+    for (unsigned l = 0; l < L; ++l) {
+        h.lo = mix64(h.lo ^ a[l]);
+        h.hi = mix64(h.hi ^ b[l]);
     }
     return h;
+}
+
+bool
+RoutePlan::realizes(const Permutation &d) const
+{
+    if (!fast || fast->src.size() != d.size())
+        return false;
+    // src is the planned permutation's inverse, so src[d[i]] == i for
+    // every i exactly when d is that permutation.
+    const Word *src = fast->src.data();
+    const Word *dst = d.dest().data();
+    bool ok = true;
+    for (Word i = 0; i < d.size(); ++i)
+        ok &= src[dst[i]] == i;
+    return ok;
 }
 
 const char *
@@ -58,10 +97,8 @@ Router::Router(unsigned n, bool prefer_waksman,
     if (cache_capacity_ > 0)
         nshards = std::min(nshards, cache_capacity_);
     shards_.reserve(nshards);
-    for (std::size_t i = 0; i < nshards; ++i) {
+    for (std::size_t i = 0; i < nshards; ++i)
         shards_.push_back(std::make_unique<CacheShard>());
-        shards_[i]->arena = std::make_shared<PlanArena>();
-    }
 
     if (!metrics_)
         return;
@@ -77,11 +114,6 @@ Router::Router(unsigned n, bool prefer_waksman,
             "srbenes_router_plan_cache_evictions_total", labels);
         shards_[i]->bytes_g = &metrics_->gauge(
             "srbenes_router_plan_cache_resident_bytes", labels);
-        shards_[i]->arena->attachGauges(
-            &metrics_->gauge("srbenes_router_plan_arena_resident_bytes",
-                             labels),
-            &metrics_->gauge("srbenes_router_plan_arena_capacity_bytes",
-                             labels));
     }
     for (RouteStrategy s :
          {RouteStrategy::SelfRouting, RouteStrategy::OmegaBit,
@@ -107,12 +139,14 @@ Router::Router(unsigned n, bool prefer_waksman,
                  {"strategy", routeStrategyName(s)}});
 }
 
-Router::CacheShard &
-Router::shardFor(std::uint64_t hash) const
+std::size_t
+Router::shardIndex(const Hash128 &h) const
 {
-    // The low bits index buckets inside the shard's map; pick the
-    // shard from well-mixed high bits so the two stay independent.
-    return *shards_[(hash >> 32) % shards_.size()];
+    // The low word indexes buckets inside the shard's map and the
+    // streaming layer's local tables, and hi % workers picks a
+    // worker: take the shard from the high half of hi so all three
+    // stay independent.
+    return (h.hi >> 32) % shards_.size();
 }
 
 RoutePlan
@@ -158,15 +192,17 @@ Router::planImpl(const Permutation &d) const
     // each decides on the final tag planes alone, so a rejected
     // attempt never unpacks its misroutes.
     if (std::optional<FastPlan> fast = setup_.tryPlan(d))
-        return RoutePlan{RouteStrategy::SelfRouting, d, {}, {}, 1,
-                         std::make_shared<FastPlan>(std::move(*fast))};
+        return RoutePlan{
+            .strategy = RouteStrategy::SelfRouting,
+            .fast = std::make_shared<FastPlan>(std::move(*fast))};
     if (isOmega(d)) {
         std::optional<FastPlan> fast =
             setup_.tryPlan(d, RoutingMode::OmegaBit);
         if (!fast)
             panic("omega-bit plan failed for a planned Omega member");
-        return RoutePlan{RouteStrategy::OmegaBit, d, {}, {}, 1,
-                         std::make_shared<FastPlan>(std::move(*fast))};
+        return RoutePlan{
+            .strategy = RouteStrategy::OmegaBit,
+            .fast = std::make_shared<FastPlan>(std::move(*fast))};
     }
     if (prefer_waksman_) {
         SwitchStates states = waksmanSetup(net_.topology(), d);
@@ -174,8 +210,9 @@ Router::planImpl(const Permutation &d) const
             std::make_shared<FastPlan>(engine_.planWithStates(d, states));
         if (!fast->success)
             panic("waksman plan failed to realize its permutation");
-        return RoutePlan{RouteStrategy::Waksman, d, {},
-                         std::move(states), 1, std::move(fast)};
+        return RoutePlan{.strategy = RouteStrategy::Waksman,
+                         .states = std::move(states),
+                         .fast = std::move(fast)};
     }
 
     TwoPassPlan tp = twoPassPlan(net_, d);
@@ -195,44 +232,23 @@ Router::planImpl(const Permutation &d) const
         fast->dest[i] = p2->dest[p1->dest[i]];
     for (Word i = 0; i < d.size(); ++i)
         fast->src[fast->dest[i]] = i;
-    return RoutePlan{RouteStrategy::TwoPass, d, std::move(tp), {}, 2,
-                     std::move(fast)};
+    return RoutePlan{.strategy = RouteStrategy::TwoPass,
+                     .two_pass = std::move(tp),
+                     .passes = 2,
+                     .fast = std::move(fast)};
 }
 
 void
-Router::compactForCache(RoutePlan &p, CacheShard &sh) const
+Router::slimForCache(RoutePlan &p)
 {
-    if (!p.fast || p.fast->ctrl.empty())
-        return; // composed TwoPass mappings carry no masks to pack
     // Insert-time slimming of a plan planImpl built a moment ago:
     // this planCached call still holds the only reference, so the
     // const on the element type (which guards the aliases handed
-    // out to callers later) can be set aside for the compaction.
+    // out to callers later) can be set aside. A hit reads only src:
+    // execute gathers through it and realizes() checks against it.
     FastPlan &fp = const_cast<FastPlan &>(*p.fast);
-
-    // The switch settings survive in succinct switch-packed form
-    // ((2n-1) * N/2 bits, a word-rounding of Waksman's
-    // N lg N - N + 1 bound) inside the shard's arena; the flat
-    // masks, the dest table (== perm on a success plan), and the
-    // (empty) misroute list are dropped. src stays flat — it is the
-    // gather table execute reads on every hit.
-    PackedStates packed = setup_.packedStates(fp);
-    const std::size_t words = packed.words.size();
-    Word *block = sh.arena->alloc(words);
-    std::copy(packed.words.begin(), packed.words.end(), block);
-    std::shared_ptr<PlanArena> arena = sh.arena;
-    p.packed_block = std::shared_ptr<const Word>(
-        block, [arena, words](const Word *b) {
-            arena->release(const_cast<Word *>(b), words);
-        });
-    p.packed_ctrl.n = fp.n;
-    p.packed_ctrl.words_per_stage = packed.words_per_stage;
-    p.packed_ctrl.stage_stride = packed.words_per_stage;
-    p.packed_ctrl.words = p.packed_block.get();
-
     fp.ctrl = {};
-    if (fp.success)
-        fp.dest = {};
+    fp.dest = {};
     fp.misrouted_outputs = {};
 }
 
@@ -240,16 +256,12 @@ std::size_t
 Router::planResidentBytes(const RoutePlan &p)
 {
     std::size_t b = sizeof(RoutePlan);
-    b += p.perm.dest().size() * sizeof(Word);
     if (p.fast) {
         b += sizeof(FastPlan);
         b += (p.fast->ctrl.size() + p.fast->dest.size() +
               p.fast->src.size() + p.fast->misrouted_outputs.size()) *
              sizeof(Word);
     }
-    if (p.packed_ctrl.words)
-        b += std::size_t{2} * p.packed_ctrl.n *
-             p.packed_ctrl.words_per_stage * sizeof(Word);
     if (p.two_pass)
         b += (p.two_pass->first.dest().size() +
               p.two_pass->second.dest().size()) *
@@ -260,45 +272,36 @@ Router::planResidentBytes(const RoutePlan &p)
     return b;
 }
 
-template <typename Over>
-void
-Router::evictWhile(Over over) const
+bool
+Router::evictLru() const
 {
-    // Capacity is global, not per shard: evict the globally
-    // least-recently-stamped entries. Scanning every shard is fine
-    // here — insertion already paid for a full plan, and hits never
-    // reach this path.
-    while (over()) {
-        CacheShard *vsh = nullptr;
-        std::uint64_t vhash = 0;
-        std::uint64_t vstamp = ~std::uint64_t{0};
-        for (const auto &cand : shards_) {
-            ReaderLock lock(cand->mu);
-            for (const auto &[eh, entry] : cand->map) {
-                // The eviction scan tolerates racing stamp updates
-                // (LRU is approximate; see cache_recency.hh).
-                const std::uint64_t stamp = entry.last_used.value();
-                if (stamp < vstamp) {
-                    vsh = cand.get();
-                    vhash = eh;
-                    vstamp = stamp;
-                }
-            }
+    while (!lru_.empty()) {
+        const LruRecord r = lru_.top();
+        lru_.pop();
+        CacheShard &sh = *shards_[r.shard];
+        WriterLock lock(sh.mu);
+        auto it = sh.map.find(r.key);
+        if (it == sh.map.end())
+            panic("plan-cache LRU record without a resident entry");
+        // A hit since the push moved the stamp: the record is stale.
+        // Re-pushing it with the current stamp keeps one record per
+        // resident, each no newer than its entry.
+        const std::uint64_t stamp = it->second.last_used.value();
+        if (stamp != r.stamp) {
+            lru_.push({stamp, r.shard, r.key});
+            continue;
         }
-        if (!vsh)
-            break;
-        WriterLock lock(vsh->mu);
-        auto it = vsh->map.find(vhash);
-        if (it != vsh->map.end()) {
-            vsh->bytes -= it->second.bytes;
-            if (vsh->bytes_g)
-                vsh->bytes_g->set(
-                    static_cast<std::int64_t>(vsh->bytes));
-            vsh->map.erase(it);
-            if (vsh->evictions)
-                vsh->evictions->inc();
-        }
+        sh.bytes -= it->second.bytes;
+        bytes_ -= it->second.bytes;
+        --size_;
+        if (sh.bytes_g)
+            sh.bytes_g->set(static_cast<std::int64_t>(sh.bytes));
+        sh.map.erase(it);
+        if (sh.evictions)
+            sh.evictions->inc();
+        return true;
     }
+    return false;
 }
 
 std::shared_ptr<const RoutePlan>
@@ -306,17 +309,26 @@ Router::planCached(const Permutation &d) const
 {
     if (cache_capacity_ == 0)
         return std::make_shared<const RoutePlan>(plan(d));
+    return planCached(d, hashPermutation128(d));
+}
 
-    const std::uint64_t h = hashPermutation(d);
-    CacheShard &sh = shardFor(h);
+std::shared_ptr<const RoutePlan>
+Router::planCached(const Permutation &d, const Hash128 &h) const
+{
+    if (cache_capacity_ == 0)
+        return std::make_shared<const RoutePlan>(plan(d));
+
+    const std::size_t si = shardIndex(h);
+    CacheShard &sh = *shards_[si];
     {
         ReaderLock lock(sh.mu);
         auto it = sh.map.find(h);
-        if (it != sh.map.end() && it->second.plan->perm == d) {
+        if (it != sh.map.end() && it->second.plan->realizes(d)) {
             if (sh.hits)
                 sh.hits->inc();
-            // Relaxed clock and stamp; a stale LRU stamp only
-            // costs a suboptimal eviction (cache_recency.hh).
+            // Relaxed clock and stamp; racing hits on one entry may
+            // store their ticks out of order, which only costs a
+            // suboptimal eviction (cache_recency.hh).
             it->second.last_used.touch(tick_);
             return it->second.plan;
         }
@@ -324,39 +336,43 @@ Router::planCached(const Permutation &d) const
     if (sh.misses)
         sh.misses->inc();
 
-    // Plan outside the lock; concurrent misses on the same pattern
-    // just plan twice and the later insert wins. Cache residents are
-    // compacted: control bits move into the shard arena in succinct
-    // form and the derivable tables are dropped.
+    // Plan outside every lock; concurrent misses on the same pattern
+    // just plan twice and the later insert wins.
     RoutePlan fresh = plan(d);
-    compactForCache(fresh, sh);
+    slimForCache(fresh);
     const std::size_t bytes = planResidentBytes(fresh);
     auto planned = std::make_shared<const RoutePlan>(std::move(fresh));
-    // The recency clock only feeds the LRU heuristic (see the hit
-    // path above).
     const std::uint64_t now = tick_.next();
+
+    sync::MutexLock lru(lru_mu_);
     {
         WriterLock lock(sh.mu);
         auto [it, inserted] = sh.map.try_emplace(h, planned, now, bytes);
-        if (!inserted) {
+        if (inserted) {
+            ++size_;
+            lru_.push({now, si, h});
+        } else {
             // Same hash: either a racing insert of this pattern or a
             // collision; either way the newcomer replaces the plan.
+            // The entry's record stays, no newer than the new stamp.
             sh.bytes -= it->second.bytes;
+            bytes_ -= it->second.bytes;
             it->second.plan = planned;
             it->second.bytes = bytes;
-            // LRU stamp drawn before the lock; see the hit path.
             it->second.last_used.stamp(now);
         }
         sh.bytes += bytes;
+        bytes_ += bytes;
         if (sh.bytes_g)
             sh.bytes_g->set(static_cast<std::int64_t>(sh.bytes));
     }
 
-    evictWhile([this] { return planCacheSize() > cache_capacity_; });
-    if (cache_bytes_budget_ > 0)
-        evictWhile([this] {
-            return planCacheBytes() > cache_bytes_budget_;
-        });
+    // Capacity is global, not per shard: evict the globally
+    // least-recently-used entries until both limits hold.
+    while ((size_ > cache_capacity_ ||
+            (cache_bytes_budget_ > 0 && bytes_ > cache_bytes_budget_)) &&
+           evictLru()) {
+    }
     return planned;
 }
 
@@ -434,9 +450,6 @@ Router::cacheStats() const
         s.hits = sh->hits ? sh->hits->value() : 0;
         s.misses = sh->misses ? sh->misses->value() : 0;
         s.evictions = sh->evictions ? sh->evictions->value() : 0;
-        const PlanArenaStats a = sh->arena->stats();
-        s.arena_resident_bytes = a.resident_bytes;
-        s.arena_capacity_bytes = a.capacity_bytes;
         stats.push_back(s);
     }
     return stats;
@@ -445,21 +458,15 @@ Router::cacheStats() const
 std::size_t
 Router::planCacheBytes() const
 {
-    std::size_t total = 0;
-    for (const auto &sh : shards_) {
-        ReaderLock lock(sh->mu);
-        total += sh->bytes;
-    }
-    return total;
+    sync::MutexLock lock(lru_mu_);
+    return bytes_;
 }
 
 std::size_t
 Router::planCacheSize() const
 {
-    std::size_t total = 0;
-    for (const auto &s : cacheStats())
-        total += s.size;
-    return total;
+    sync::MutexLock lock(lru_mu_);
+    return size_;
 }
 
 std::size_t
@@ -492,6 +499,10 @@ Router::planCacheEvictions() const
 void
 Router::clearPlanCache() const
 {
+    sync::MutexLock lru(lru_mu_);
+    lru_ = {};
+    size_ = 0;
+    bytes_ = 0;
     for (const auto &sh : shards_) {
         WriterLock lock(sh->mu);
         sh->map.clear();

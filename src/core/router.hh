@@ -27,9 +27,11 @@
  *    re-simulation, no allocation beyond the result (and none at
  *    all via executeInto);
  *  - planCached() consults a sharded, read-mostly plan cache keyed by a
- *    permutation hash, so a recurring pattern skips classification
- *    and planning entirely after its first appearance, and
- *    concurrent readers on different shards never serialize.
+ *    128-bit permutation hash, so a recurring pattern skips
+ *    classification and planning entirely after its first
+ *    appearance, and concurrent readers on different shards never
+ *    serialize. Every hit is confirmed against the request's
+ *    permutation through the plan's own gather table.
  */
 
 #ifndef SRBENES_CORE_ROUTER_HH
@@ -39,14 +41,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/sync.hh"
 #include "common/thread_annotations.hh"
 #include "core/cache_recency.hh"
 #include "core/fast_engine.hh"
-#include "core/plan_arena.hh"
 #include "core/route_outcome.hh"
 #include "core/self_routing.hh"
 #include "core/setup_engine.hh"
@@ -67,15 +70,43 @@ enum class RouteStrategy
 
 const char *routeStrategyName(RouteStrategy s);
 
+/**
+ * 128-bit content hash of a permutation: two independent 8-lane
+ * multiply-xorshift chains, folded with a splitmix finalizer. The
+ * independent lanes break the sequential multiply dependency that
+ * makes a classic FNV pass latency-bound, so hashing an N-word
+ * destination vector runs at near store-bandwidth. The streaming
+ * layer computes it once at submit time and reuses it for worker
+ * dispatch and every cache tier; the Router's plan cache and the
+ * resilient layer's degraded cache key on it too.
+ */
+struct Hash128
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    bool operator==(const Hash128 &other) const = default;
+};
+
+Hash128 hashPermutation128(const Permutation &d);
+
+/** Bucket hash for Hash128-keyed maps: the low word is already mixed. */
+struct Hash128Hasher
+{
+    std::size_t
+    operator()(const Hash128 &h) const noexcept
+    {
+        return static_cast<std::size_t>(h.lo);
+    }
+};
+
 /** An immutable, reusable routing plan for one permutation. */
 struct RoutePlan
 {
-    RouteStrategy strategy;
-    Permutation perm;
-    /** TwoPass only. */
-    std::optional<TwoPassPlan> two_pass;
+    RouteStrategy strategy = RouteStrategy::SelfRouting;
+    /** TwoPass only: the two self-routed factors. */
+    std::optional<TwoPassPlan> two_pass = {};
     /** Waksman only. */
-    std::optional<SwitchStates> states;
+    std::optional<SwitchStates> states = {};
     /** Passes through the fabric per executed vector. */
     unsigned passes = 1;
     /**
@@ -85,26 +116,22 @@ struct RoutePlan
      * it, with success set; execute() fatal()s on a plan without
      * one.
      *
-     * Plans resident in the Router's cache are COMPACTED: the flat
-     * ctrl masks and the dest table (derivable from perm on a
-     * success plan) are dropped and the switch settings live on as
-     * packed_ctrl below. Only the src gather table — what execute
-     * actually reads — stays flat.
+     * Plans resident in the Router's cache keep only what a hit
+     * reads: the src gather table (execute's input and the hit
+     * check's witness, see realizes()). The flat ctrl masks, the dest
+     * table and the misroute list are dropped at insert time.
      */
-    std::shared_ptr<const FastPlan> fast;
+    std::shared_ptr<const FastPlan> fast = {};
+
     /**
-     * Succinct switch-packed control bits of a cache-compacted plan
-     * (a view into a per-shard PlanArena block; words == nullptr on
-     * uncompacted plans and on composed TwoPass mappings, which
-     * carry per-pass states in two_pass instead).
+     * True iff this plan delivers @p d: src[d[i]] == i for every i.
+     * src is the inverse of the planned permutation, so the check
+     * holds exactly when @p d IS that permutation — the plan cache
+     * confirms every hit with it instead of keeping a copy of the
+     * permutation. False for a plan without a mapping or of another
+     * size.
      */
-    PackedPlanBits packed_ctrl;
-    /**
-     * Owner of packed_ctrl.words: its deleter returns the block to
-     * the shard's arena (and keeps the arena alive), so a plan
-     * handed out by planCached stays valid across eviction.
-     */
-    std::shared_ptr<const Word> packed_block;
+    bool realizes(const Permutation &d) const;
 };
 
 /** One plan-cache shard's counters, as returned by cacheStats(). */
@@ -114,12 +141,9 @@ struct CacheShardStats
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t evictions = 0;
-    /** Resident bytes of the shard's cached plans (perm + src +
-     *  packed control bits + strategy extras). */
+    /** Resident bytes of the shard's cached plans (src + strategy
+     *  extras). */
     std::size_t bytes = 0;
-    /** Shard plan-arena residency/footprint (packed_ctrl blocks). */
-    std::size_t arena_resident_bytes = 0;
-    std::size_t arena_capacity_bytes = 0;
 };
 
 class Router
@@ -137,7 +161,7 @@ class Router
      *        [1, plan_cache_capacity] when the cache is enabled.
      * @param metrics registry receiving this router's instruments
      *        (plan-cache hit/miss/eviction per shard, resident-byte
-     *        and arena gauges, strategy counts, cold-plan latency).
+     *        gauges, strategy counts, cold-plan latency).
      *        nullptr disables instrumentation; the default is the
      *        process-global registry.
      * @param plan_cache_bytes resident-byte budget across all
@@ -164,16 +188,20 @@ class Router
     /**
      * Plan through the sharded plan cache: a repeated pattern
      * returns the cached plan without re-classifying or re-routing.
-     * Thread-safe; hits take one shard's reader lock only.
+     * Thread-safe; hits take one shard's reader lock only, and each
+     * is confirmed with RoutePlan::realizes(d), so a hash collision
+     * costs a miss, never a wrong plan.
      */
     std::shared_ptr<const RoutePlan>
     planCached(const Permutation &d) const;
 
     /**
-     * The cache hash; exposed so callers that pre-compute it (the
-     * streaming layer) shard their own tiers consistently.
+     * planCached() for a caller that already holds
+     * hashPermutation128(d) (the streaming layer): skips the hash.
+     * @p h only picks the slot; the hit check still reads @p d.
      */
-    static std::uint64_t hashPermutation(const Permutation &d);
+    std::shared_ptr<const RoutePlan>
+    planCached(const Permutation &d, const Hash128 &h) const;
 
     /**
      * Move a data vector along a previously computed plan: one
@@ -239,8 +267,7 @@ class Router
     /**
      * One shard: a read-mostly hash -> plan map. Hits touch only the
      * shard's reader lock plus a relaxed recency stamp; inserts take
-     * the writer lock and evict the least-recently-stamped entry
-     * when the shard is over its share of the capacity.
+     * the writer lock (under lru_mu_, see below).
      */
     struct CacheShard
     {
@@ -257,14 +284,10 @@ class Router
             std::size_t bytes;
         };
         mutable SharedMutex mu;
-        std::unordered_map<std::uint64_t, Entry> map
+        std::unordered_map<Hash128, Entry, Hash128Hasher> map
             SRB_GUARDED_BY(mu);
         /** Sum of the entries' bytes, maintained incrementally. */
         std::size_t bytes SRB_GUARDED_BY(mu) = 0;
-        /** Arena holding the packed_ctrl blocks of this shard's
-         *  compacted plans; blocks outlive eviction through each
-         *  plan's packed_block deleter. */
-        std::shared_ptr<PlanArena> arena;
         /** Registry-served counters; null when metrics are off. */
         obs::Counter *hits = nullptr;
         obs::Counter *misses = nullptr;
@@ -273,20 +296,40 @@ class Router
         obs::Gauge *bytes_g = nullptr;
     };
 
-    CacheShard &shardFor(std::uint64_t hash) const;
-    RoutePlan planImpl(const Permutation &d) const;
     /**
-     * Compact a freshly planned RoutePlan for cache residency: the
-     * flat ctrl masks become switch-packed bits in @p sh's arena
-     * (packed_ctrl / packed_block) and the derivable dest table and
-     * misroute list are dropped; only src stays flat. No-op for
-     * mappings that carry no masks (TwoPass compositions).
+     * One record of the LRU victim index: the stamp an entry carried
+     * when the record was pushed. Hits move stamps without touching
+     * the index, so a record may be stale (older than its entry's
+     * stamp); evictLru() re-pushes those instead of evicting.
      */
-    void compactForCache(RoutePlan &p, CacheShard &sh) const;
+    struct LruRecord
+    {
+        std::uint64_t stamp;
+        std::size_t shard;
+        Hash128 key;
+    };
+    struct StampAfter
+    {
+        bool
+        operator()(const LruRecord &a, const LruRecord &b) const
+        {
+            return a.stamp > b.stamp;
+        }
+    };
+
+    std::size_t shardIndex(const Hash128 &h) const;
+    RoutePlan planImpl(const Permutation &d) const;
+    /** Drop what a cache hit never reads from a fresh plan: the
+     *  ctrl masks, the dest table and the misroute list. */
+    static void slimForCache(RoutePlan &p);
     /** Resident bytes of one plan as cached (heap payloads only). */
     static std::size_t planResidentBytes(const RoutePlan &p);
-    /** Evict globally-LRU entries while @p over() says so. */
-    template <typename Over> void evictWhile(Over over) const;
+    /**
+     * Evict the globally least-recently-used entry: pop the index's
+     * minimum, re-push it if its entry's stamp moved since, and
+     * evict it otherwise. False when the index is empty.
+     */
+    bool evictLru() const SRB_REQUIRES(lru_mu_);
 
     SelfRoutingBenes net_;
     FastEngine engine_;
@@ -297,6 +340,22 @@ class Router
     mutable std::vector<std::unique_ptr<CacheShard>> shards_;
     /** Global recency clock for the stamps. */
     RecencyClock tick_;
+
+    /**
+     * @{ Global LRU state, shared by every insert: a lazy min-heap
+     * over the residents' stamps (one record per resident entry,
+     * each no newer than its entry's stamp, so the minimum record
+     * whose stamp is current names the exact LRU entry) and the
+     * cache's size and bytes as counters. Lock order: lru_mu_, then
+     * one shard's mu. Hits never take lru_mu_.
+     */
+    mutable sync::Mutex lru_mu_;
+    mutable std::priority_queue<LruRecord, std::vector<LruRecord>,
+                                StampAfter>
+        lru_ SRB_GUARDED_BY(lru_mu_);
+    mutable std::size_t size_ SRB_GUARDED_BY(lru_mu_) = 0;
+    mutable std::size_t bytes_ SRB_GUARDED_BY(lru_mu_) = 0;
+    /** @} */
 
     /** @{ Observability (obs/metrics.hh); null when disabled. */
     obs::MetricsRegistry *metrics_;

@@ -33,18 +33,6 @@ ceilPow2(std::size_t v)
     return p;
 }
 
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    // splitmix64 finalizer
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
 /** How many requests a worker pops from one ring before moving on. */
 constexpr unsigned kBurst = 32;
 
@@ -52,46 +40,6 @@ constexpr unsigned kBurst = 32;
 constexpr unsigned kIdleSpins = 16;
 
 } // namespace
-
-Hash128
-hashPermutation128(const Permutation &d)
-{
-    constexpr unsigned L = 8;
-    std::uint64_t a[L], b[L];
-    for (unsigned l = 0; l < L; ++l) {
-        a[l] = mix64(0x243f6a8885a308d3ULL + l);
-        b[l] = mix64(0x13198a2e03707344ULL + l);
-    }
-
-    const std::vector<Word> &v = d.dest();
-    const std::size_t size = v.size();
-    const std::size_t full = size - size % L;
-    for (std::size_t i = 0; i < full; i += L) {
-        for (unsigned l = 0; l < L; ++l) {
-            const std::uint64_t x = v[i + l];
-            a[l] = (a[l] ^ x) * 0x9e3779b97f4a7c15ULL;
-            a[l] ^= a[l] >> 32;
-            b[l] = (b[l] ^ (x + i)) * 0xc2b2ae3d27d4eb4fULL;
-            b[l] ^= b[l] >> 29;
-        }
-    }
-    for (std::size_t i = full; i < size; ++i) {
-        const unsigned l = i % L;
-        a[l] = (a[l] ^ v[i]) * 0x9e3779b97f4a7c15ULL;
-        a[l] ^= a[l] >> 32;
-        b[l] = (b[l] ^ (v[i] + i)) * 0xc2b2ae3d27d4eb4fULL;
-        b[l] ^= b[l] >> 29;
-    }
-
-    Hash128 h;
-    h.lo = mix64(size);
-    h.hi = mix64(~std::uint64_t{size});
-    for (unsigned l = 0; l < L; ++l) {
-        h.lo = mix64(h.lo ^ a[l]);
-        h.hi = mix64(h.hi ^ b[l]);
-    }
-    return h;
-}
 
 StreamEngine::StreamEngine(unsigned n, StreamOptions opts)
     : owned_router_(opts.resilient
@@ -408,7 +356,7 @@ StreamEngine::lookupIn(std::vector<LocalSlot> &table,
         LocalSlot &slot = table[(base + i) & mask];
         if (slot.plan && slot.hash == req.hash &&
             (!opts_.verify_local_hits ||
-             slot.plan->perm == *req.perm)) {
+             slot.plan->realizes(*req.perm))) {
             slot.stamp = op;
             if (ws.local_hits)
                 ws.local_hits->inc();
@@ -421,7 +369,7 @@ StreamEngine::lookupIn(std::vector<LocalSlot> &table,
     if (ws.shared_lookups)
         ws.shared_lookups->inc();
     std::shared_ptr<const RoutePlan> plan =
-        router_.planCached(*req.perm);
+        router_.planCached(*req.perm, req.hash);
     LocalSlot *victim = &table[base];
     for (std::size_t i = 0; i < kProbe; ++i) {
         LocalSlot &slot = table[(base + i) & mask];

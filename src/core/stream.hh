@@ -74,23 +74,6 @@ namespace srbenes
 class ResilientRouter;
 
 /**
- * 128-bit content hash of a permutation: two independent 8-lane
- * multiply-xorshift chains, folded with a splitmix finalizer. The
- * independent lanes break the sequential multiply dependency that
- * makes a classic FNV pass latency-bound, so hashing an N-word
- * destination vector runs at near store-bandwidth. Computed once at
- * submit time and reused for worker dispatch and both cache tiers.
- */
-struct Hash128
-{
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    bool operator==(const Hash128 &other) const = default;
-};
-
-Hash128 hashPermutation128(const Permutation &d);
-
-/**
  * Start/stop lifecycle for a component whose running()/stats() are
  * documented readable from any thread: each clock stamp is published
  * BEFORE its flag (release) and read back after it (acquire), so a
@@ -420,9 +403,9 @@ struct StreamOptions
     std::size_t shared_cache_capacity = 512;
     unsigned shared_cache_shards = 8;
     /**
-     * Confirm local-tier hits with a full permutation comparison
-     * (the shared Router tier always confirms). Off trusts the
-     * 128-bit content hash as identity.
+     * Confirm local-tier hits against the request's permutation with
+     * RoutePlan::realizes (the shared Router tier always confirms).
+     * Off trusts the 128-bit content hash as identity.
      */
     bool verify_local_hits = true;
     /**

@@ -11,18 +11,6 @@ namespace srbenes
 namespace
 {
 
-/** splitmix64 finalizer for the seeded loop-color draws. */
-std::uint64_t
-mixFactorKey(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
 /** Color of a slot the level's loops have not reached yet. */
 constexpr std::uint8_t kUncolored = 0xff;
 
@@ -100,7 +88,7 @@ factorLevels(const std::vector<Word> &d, unsigned n, std::uint64_t seed,
                     seed == 0
                         ? 0
                         : static_cast<std::uint8_t>(
-                              mixFactorKey(
+                              mix64(
                                   seed ^
                                   (std::uint64_t{level} << 48) ^
                                   id[p]) >>

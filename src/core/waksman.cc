@@ -81,18 +81,6 @@ setupRecursive(const BenesTopology &topo, SwitchStates &states,
                    base_stage + 1);
 }
 
-/** splitmix64 finalizer for the seeded loop-color draws. */
-std::uint64_t
-mixColorKey(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
 /** Free-choice color for the loop starting at global input @p start
  *  of the node at (@p base_stage, @p base_line); seed 0 = canonical
  *  0, matching the unseeded algorithm exactly. */
@@ -107,7 +95,7 @@ seededColor(std::uint64_t seed, unsigned base_stage, Word base_line,
     // xor tiny ids), which starves the reseeded searches of
     // diversity; bit 63 passes through all three avalanche rounds.
     return static_cast<int>(
-        mixColorKey(seed ^ (std::uint64_t{base_stage} << 48) ^
+        mix64(seed ^ (std::uint64_t{base_stage} << 48) ^
                     (base_line << 24) ^ start) >>
         63);
 }

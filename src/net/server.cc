@@ -324,8 +324,13 @@ Server::onConnEvent(std::uint64_t conn_id, std::uint32_t events)
             conn.readReady(msgs, &error);
         for (Message &m : msgs) {
             handleMessage(conn, std::move(m));
+            // Hand finished results back between messages: the
+            // inline path completes each submit at once into a queue
+            // only ring_capacity deep, so a read batch longer than
+            // that would shed while the engine sits idle.
+            pumpResults();
             if (conns_.find(conn_id) == conns_.end())
-                return; // handler closed us
+                return; // a handler or a failed flush closed us
         }
         switch (rr) {
           case Connection::ReadResult::Ok:

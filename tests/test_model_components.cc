@@ -218,7 +218,7 @@ TEST(ModelComponents, PlanArenaNoDoubleAllocatedBlocks)
 
 /** LRU recency ticks drawn by concurrent hits are unique and
  *  per-lane strictly increasing — the property the Router's
- *  eviction scan assumes. */
+ *  eviction assumes. */
 TEST(ModelComponents, RecencyStampsMonotoneAndUnique)
 {
     const Result res = explore(boundedOpts("lru-stamps"), [] {

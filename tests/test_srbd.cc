@@ -312,6 +312,63 @@ TEST_F(SrbdTest, GarbageFrameClosesConnectionAndCounts)
     EXPECT_EQ(server_->stats().protocol_errors, 1u);
 }
 
+TEST_F(SrbdTest, InlineBurstLongerThanTheRingIsServed)
+{
+    // One read can drain more submit frames than the inline result
+    // queue holds (ring_capacity). The engine is idle, so every one
+    // of them must be served, not shed because the results were
+    // only handed back after the whole batch.
+    ServerOptions opts = defaults();
+    opts.n = 4; // inline path
+    opts.stream.ring_capacity = 8;
+    startServer(std::move(opts));
+
+    constexpr std::uint64_t kFrames = 64;
+    Prng prng(19);
+    std::vector<std::uint8_t> wire;
+    std::vector<std::vector<Word>> expected(kFrames);
+    for (std::uint64_t id = 0; id < kFrames; ++id)
+        encode(Message{randomSubmit(id, prng, &expected[id])}, wire);
+
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+
+    Decoder decoder;
+    std::vector<bool> answered(kFrames, false);
+    std::uint64_t got = 0;
+    std::uint8_t buf[65536];
+    while (got < kFrames) {
+        const ssize_t len = ::recv(fd, buf, sizeof(buf), 0);
+        ASSERT_GT(len, 0) << "connection closed after " << got;
+        decoder.feed(buf, static_cast<std::size_t>(len));
+        Message m;
+        while (decoder.next(m) == DecodeStatus::Ok) {
+            auto *res = std::get_if<SubmitResultMsg>(&m);
+            ASSERT_NE(res, nullptr);
+            ASSERT_LT(res->id, kFrames);
+            EXPECT_EQ(res->status, Status::Ok)
+                << "request " << res->id << " answered "
+                << statusName(res->status);
+            EXPECT_EQ(res->payload, expected[res->id]);
+            EXPECT_FALSE(answered[res->id]);
+            answered[res->id] = true;
+            ++got;
+        }
+    }
+    ::close(fd);
+    EXPECT_TRUE(stopServer());
+    EXPECT_EQ(server_->stats().sheds, 0u);
+}
+
 TEST_F(SrbdTest, UnsolicitedServerTypeIsAProtocolError)
 {
     startServer(defaults());

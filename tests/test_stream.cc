@@ -181,7 +181,7 @@ TEST(RouterConcurrency, EightThreadsHammerThePlanCache)
                 const Permutation &d =
                     patterns[prng.below(kPatterns)];
                 const auto plan = router.planCached(d);
-                if (plan->perm != d) {
+                if (!plan->realizes(d)) {
                     ++failures[t];
                     continue;
                 }
@@ -723,6 +723,59 @@ TEST(StreamEngineTest, InlinePathShedsOnFullResultQueue)
     ASSERT_TRUE(prod.tryPoll(res));
     EXPECT_EQ(res.id, 2u);
     EXPECT_EQ(prod.submitted(), prod.received());
+}
+
+TEST(StreamEngineTest, LocalHitCheckRefusesAForcedCollision)
+{
+    // Force a local-tier collision: the producer memoizes hashes by
+    // pattern address, so rewriting a submitted pattern in place
+    // makes its next submit carry the OLD content's hash. The local
+    // slot (and the shared tier's entry) under that hash hold the old
+    // plan; with verify_local_hits both must refuse it, and the
+    // request must route by its own permutation. Ring and inline
+    // paths share the check.
+    const unsigned n = 4;
+    const Word N = Word{1} << n;
+    for (unsigned inline_max_n : {0u, 9u}) {
+        SCOPED_TRACE(inline_max_n == 0 ? "ring path" : "inline path");
+        StreamOptions opts;
+        opts.workers = 1;
+        opts.inline_max_n = inline_max_n;
+        opts.verify_local_hits = true;
+        StreamEngine eng(n, opts);
+        eng.start();
+        auto &prod = eng.producer(0);
+
+        Prng prng(61);
+        const Permutation d1 = Permutation::random(N, prng);
+        Permutation d2 = Permutation::random(N, prng);
+        while (d2 == d1)
+            d2 = Permutation::random(N, prng);
+        auto pattern = std::make_shared<Permutation>(d1);
+
+        StreamResult res;
+        for (std::uint64_t id = 0; id < 2; ++id) {
+            std::vector<Word> payload = iotaPayload(N, id);
+            ASSERT_TRUE(prod.trySubmit(id, pattern, payload));
+            prod.awaitResult(res);
+            ASSERT_TRUE(res.ok());
+            EXPECT_EQ(res.payload, d1.applyTo(iotaPayload(N, id)));
+        }
+        // Served and drained: nothing else reads the pattern now.
+        *pattern = d2;
+        for (std::uint64_t id = 2; id < 4; ++id) {
+            std::vector<Word> payload = iotaPayload(N, id);
+            ASSERT_TRUE(prod.trySubmit(id, pattern, payload));
+            prod.awaitResult(res);
+            ASSERT_TRUE(res.ok());
+            EXPECT_EQ(res.payload, d2.applyTo(iotaPayload(N, id)))
+                << "request " << id << " served by the colliding plan";
+        }
+        eng.stop();
+        // d1's first submit planned; d2's first submit missed both
+        // tiers under the shared hash and planned again.
+        EXPECT_EQ(eng.router().planCacheMisses(), 2u);
+    }
 }
 
 TEST(StreamEngineTest, InlinePathServesWithoutWorkerRoundTrip)
